@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, GeometryError, pairwise_distances
+from .appetite import AppetiteDistribution, sample_appetites
+from .geometry import Domain, GeometryError, pairwise_distances, replica_rng, sample_poisson
 
 UNCLAIMED = -1
 TIE = -2
@@ -89,6 +90,16 @@ class PointConfiguration:
     @property
     def n_centers(self) -> int:
         return len(self.appetites)
+
+
+def sample_replica(domain: Domain, intensity: float, dist: AppetiteDistribution,
+                   seed: int, replica: int) -> PointConfiguration:
+    """Poisson centers and their appetites for one replica. The draws depend
+    only on (seed, replica), so replicas are coupled across appetite laws."""
+    rng = replica_rng(seed, replica)
+    centers = sample_poisson(domain, intensity, rng)
+    return PointConfiguration(centers=centers,
+                              appetites=sample_appetites(dist, len(centers), rng))
 
 
 @dataclass(frozen=True)

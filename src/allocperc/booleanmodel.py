@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, pairwise_distances, unit_ball_volume
+from .geometry import Domain, distance, kd_tree, pairwise_distances, unit_ball_volume
 
 
 class BooleanModelError(ValueError):
@@ -46,49 +46,67 @@ def min_radius(scale: float, floor: float, d: int) -> float:
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
 
 
-def _radius_window_cap(center: np.ndarray, domain: Domain) -> float:
-    """Largest r with the 2r-ball fully resolved by the window."""
-    if domain.periodic:
-        return min(domain.sides) / 4.0
-    gaps = np.minimum(center, np.asarray(domain.sides) - center)
-    return float(gaps.min()) / 2.0
-
-
-def _radius_from_sorted(sorted_d: np.ndarray, sorted_app: np.ndarray, pi_d: float, d: int,
-                        cap: float = math.inf) -> float:
+def _radius_from_sorted(sorted_d: np.ndarray, sorted_app: np.ndarray, pi_d: float,
+                        d: int) -> float:
     """First r with cumulative appetite <= ball volume, breakpoints at d_k/2.
 
-    sorted_d[0] must be 0 (the center itself). With cap finite, the search is
-    restricted to [0, cap] and cap is returned when no root lies below it.
+    sorted_d[0] must be 0 (the center itself). The last interval is open-ended,
+    so a root always exists.
     """
     cum = np.cumsum(sorted_app)
     starts = sorted_d / 2.0
     ends = np.append(sorted_d[1:] / 2.0, math.inf)
     roots = (cum / pi_d) ** (1.0 / d)
-    candidates = np.maximum(starts, roots)
     # Coincident breakpoints give empty intervals; skip them so the sum is
     # the true closed-ball sum at the returned radius.
-    ok = (roots < ends) & (starts < ends)
-    idx = np.flatnonzero(ok)
-    for k in idx:
-        r = candidates[k]
-        if r <= cap:
-            return float(r)
-        break  # first admissible root already beyond the cap
-    return cap if math.isfinite(cap) else math.inf
+    first = np.argmax((roots < ends) & (starts < ends))
+    return float(np.maximum(starts[first], roots[first]))
+
+
+def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray,
+           cap: float = math.inf) -> np.ndarray:
+    """Dominating radii of the centers rows, each clipped at cap.
+
+    A radius r <= R depends only on the centers within 2R, so each center
+    sweeps the kd-tree neighbour list within 2R. R starts at twice the
+    center's own root and doubles until a root lies below R, R reaches cap,
+    or the list holds every center. The tree only selects candidates: the
+    distances are recomputed as in the dense matrix and sorted stably over
+    index-sorted neighbours, so ties and floats match a full-row sweep.
+    """
+    _require_floor(config)
+    centers, appetites = config.centers, config.appetites
+    n, d = config.n_centers, domain.dim
+    pi_d = unit_ball_volume(d)
+    tree = kd_tree(centers, domain)
+    reach = np.minimum(2.0 * (appetites[rows] / pi_d) ** (1.0 / d), cap)
+    out = np.empty(len(rows))
+    todo = np.arange(len(rows))
+    while todo.size:
+        lists = tree.query_ball_point(tree.data[rows[todo]], 2.0 * reach[todo] * (1 + 1e-9),
+                                      return_sorted=True)
+        again = []
+        for k, near in zip(todo, lists):
+            near = np.asarray(near, dtype=np.intp)
+            dist = pairwise_distances(centers[rows[k]], centers[near], domain)[0]
+            keep = dist <= 2.0 * reach[k]
+            dist, near = dist[keep], near[keep]
+            order = np.argsort(dist, kind="stable")
+            r = _radius_from_sorted(dist[order], appetites[near[order]], pi_d, d)
+            if r <= reach[k] or reach[k] >= cap or len(near) == n:
+                out[k] = min(r, cap)
+            else:
+                reach[k] = min(2.0 * reach[k], cap)
+                again.append(k)
+        todo = np.asarray(again, dtype=np.intp)
+    return out
 
 
 def compute_radius(
     center_index: int, config: PointConfiguration, domain: Domain
 ) -> float:
     """Dominating radius of one center, by exact breakpoint sweep."""
-    _require_floor(config)
-    d = domain.dim
-    pi_d = unit_ball_volume(d)
-    me = config.centers[center_index]
-    dists = distance(me[None, :], config.centers, domain)
-    order = np.argsort(dists, kind="stable")
-    return _radius_from_sorted(dists[order], config.appetites[order], pi_d, d)
+    return float(_radii(config, domain, np.array([center_index]))[0])
 
 
 def compute_radius_truncated(
@@ -97,16 +115,7 @@ def compute_radius_truncated(
     """Same sweep restricted to [0, cap]; cap when no root lies below it."""
     if cap <= 0:
         raise BooleanModelError("cap must be positive")
-    _require_floor(config)
-    d = domain.dim
-    pi_d = unit_ball_volume(d)
-    me = config.centers[center_index]
-    dists = distance(me[None, :], config.centers, domain)
-    # The restricted sweep only sees centers within distance 2*cap.
-    near = dists <= 2.0 * cap
-    dn, an = dists[near], config.appetites[near]
-    order = np.argsort(dn, kind="stable")
-    return _radius_from_sorted(dn[order], an[order], pi_d, d, cap=cap)
+    return float(_radii(config, domain, np.array([center_index]), cap)[0])
 
 
 def _require_floor(config: PointConfiguration) -> None:
@@ -119,43 +128,23 @@ def _require_floor(config: PointConfiguration) -> None:
 def build_boolean(config: PointConfiguration, domain: Domain) -> BooleanModel:
     """Boolean model with one dominating ball per center.
 
-    Vectorized over centers: one pairwise distance matrix, one row sort, and
-    a per-row first-admissible-root scan.
+    A radius is censored when it exceeds its window cap, the largest r whose
+    2r-ball the window resolves: a quarter of the shortest periodic side, or
+    half the distance to the nearest open wall.
     """
-    _require_floor(config)
     n = config.n_centers
-    d = domain.dim
-    pi_d = unit_ball_volume(d)
-    if n == 0:
-        return BooleanModel(
-            centers=config.centers,
-            radii=np.zeros(0),
-            min_radius=0.0,
-            truncated=np.zeros(0, dtype=bool),
-        )
-    dmat = pairwise_distances(config.centers, config.centers, domain)
-    order = np.argsort(dmat, axis=1, kind="stable")
-    sd = np.take_along_axis(dmat, order, axis=1)
-    sa = config.appetites[order]
-    cum = np.cumsum(sa, axis=1)
-    starts = sd / 2.0
-    ends = np.hstack([sd[:, 1:] / 2.0, np.full((n, 1), np.inf)])
-    roots = (cum / pi_d) ** (1.0 / d)
-    ok = (roots < ends) & (starts < ends)
-    first = np.argmax(ok, axis=1)  # ok is guaranteed true on the last interval
-    rows = np.arange(n)
-    radii = np.maximum(starts[rows, first], roots[rows, first])
-
-    caps = np.array([
-        _radius_window_cap(config.centers[i], domain) for i in range(n)
-    ])
-    truncated = radii > caps
-    b = float(config.appetites.min() / pi_d) ** (1.0 / d)
+    radii = _radii(config, domain, np.arange(n))
+    sides = np.asarray(domain.sides)
+    if domain.periodic:
+        caps = np.full(n, sides.min() / 4.0)
+    else:
+        caps = np.minimum(config.centers, sides - config.centers).min(axis=1) / 2.0
+    pi_d = unit_ball_volume(domain.dim)
     return BooleanModel(
         centers=config.centers,
         radii=radii,
-        min_radius=b,
-        truncated=truncated,
+        min_radius=float(config.appetites.min() / pi_d) ** (1.0 / domain.dim) if n else 0.0,
+        truncated=radii > caps,
     )
 
 

@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import PointConfiguration, SiteGrid, gale_shapley, phase_diagnostics
-from .appetite import moment_report, sample_appetites
-from .booleanmodel import build_boolean, tail_statistics
+from .allocation import SiteGrid, gale_shapley, phase_diagnostics, sample_replica
+from .appetite import moment_report
+from .booleanmodel import BooleanModelError, build_boolean, tail_statistics
 from .bounds import PhaseParams, classify_phase, finiteness_threshold, nagaev_bound, poisson_chernoff
 from .config import ConfigError, ExperimentConfig, parse_config_file, resolve_config
-from .geometry import replica_rng, sample_poisson
 from .percolation import claimed_components, critical_sweep
 from .validation import run_validation
 
@@ -88,10 +87,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, subcommand: str,
 
 
 def _replica_allocation(cfg: ExperimentConfig, replica: int):
-    rng = replica_rng(cfg.seed, replica)
-    centers = sample_poisson(cfg.domain, cfg.intensity, rng)
-    appetites = sample_appetites(cfg.appetite, len(centers), rng)
-    config = PointConfiguration(centers=centers, appetites=appetites)
+    config = sample_replica(cfg.domain, cfg.intensity, cfg.appetite, cfg.seed, replica)
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
     return config, grid, gale_shapley(config, grid)
 
@@ -105,7 +101,7 @@ def _map_replicas(cfg: ExperimentConfig, fn):
         return list(pool.map(fn, indices))
 
 
-def cmd_allocate(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     def one(rep):
         config, grid, alloc = _replica_allocation(cfg, rep)
         diag = phase_diagnostics(alloc, config, grid)
@@ -123,20 +119,17 @@ def cmd_allocate(cfg: ExperimentConfig, out: Path) -> int:
     params = PhaseParams(cfg.intensity, cfg.appetite.scale,
                          moment_report(replace(cfg.appetite, floor=0.0, scale=1.0)).mean)
     _log(f"allocate: {cfg.replicas} replicas, phase {classify_phase(params)}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_boolean(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     if cfg.appetite.floor <= 0:
         raise ConfigError(
             "boolean model needs a positive appetite floor; set floor > 0"
         )
 
     def one(rep):
-        rng = replica_rng(cfg.seed, rep)
-        centers = sample_poisson(cfg.domain, cfg.intensity, rng)
-        appetites = sample_appetites(cfg.appetite, len(centers), rng)
-        config = PointConfiguration(centers=centers, appetites=appetites)
+        config = sample_replica(cfg.domain, cfg.intensity, cfg.appetite, cfg.seed, rep)
         return rep, build_boolean(config, cfg.domain)
 
     results = _map_replicas(cfg, one)
@@ -149,7 +142,10 @@ def cmd_boolean(cfg: ExperimentConfig, out: Path) -> int:
     models = [m for _, m in results if m.n_balls]
     extras = {}
     if models:
-        stats = tail_statistics(models)
+        try:
+            stats = tail_statistics(models)
+        except BooleanModelError as exc:
+            raise ConfigError(f"{exc}; enlarge the box or lower the scale") from exc
         _write_csv(
             out / "tail.csv",
             ["radius", "survival", "scaled_survival"],
@@ -161,7 +157,7 @@ def cmd_boolean(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK, extras
 
 
-def cmd_percolate(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     def one(rep):
         config, grid, alloc = _replica_allocation(cfg, rep)
         report = claimed_components(alloc, grid)
@@ -176,10 +172,10 @@ def cmd_percolate(cfg: ExperimentConfig, out: Path) -> int:
                 "origin_component", "origin_reach", "origin_diameter"],
                rows)
     _log(f"percolate: {cfg.replicas} replicas")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     if cfg.domain.periodic:
         raise ConfigError("sweep detects box crossings; set boundary = open")
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
@@ -200,7 +196,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK, extras
 
 
-def cmd_bounds(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     report = moment_report(cfg.appetite)
     rows = []
     for mean in (1.0, 5.0, 10.0, 50.0):
@@ -235,7 +231,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK, extras
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     results = run_validation(cfg.seed)
     _write_csv(
         out / "validation.csv",
@@ -246,7 +242,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     for r in results:
         _log(f"validate: {r.name}: {'PASS' if r.passed else 'FAIL'} "
              f"({r.failures}/{r.instances} failing)")
-    return EXIT_OK if n_fail == 0 else EXIT_INVARIANT
+    return (EXIT_OK if n_fail == 0 else EXIT_INVARIANT), {}
 
 
 _COMMANDS = {
@@ -294,14 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
-        result = _COMMANDS[args.subcommand](cfg, out)
+        code, extras = _COMMANDS[args.subcommand](cfg, out)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
-    if isinstance(result, tuple):
-        code, extras = result
-    else:
-        code, extras = result, {}
     _write_manifest(out, cfg, args.subcommand, started, extras)
     return code
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .appetite import FAMILIES, AppetiteDistribution
-from .geometry import Domain
+from .allocation import SiteGrid
+from .appetite import FAMILIES, AppetiteConfigError, AppetiteDistribution
+from .geometry import Domain, GeometryError
 
 
 class ConfigError(ValueError):
@@ -36,13 +37,6 @@ _DEFAULTS = {
     "seed": 0,
     "workers": 1,
     "out_dir": "runs/latest",
-}
-
-_INT_KEYS = {"config_version", "dimension", "replicas", "seed", "workers"}
-_FLOAT_KEYS = {
-    "intensity", "value", "mean", "pareto_scale", "pareto_index",
-    "lognormal_mu", "lognormal_sigma", "scale", "floor", "tail_exponent",
-    "spacing",
 }
 
 
@@ -145,7 +139,6 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     boundary = str(merged["boundary"]).strip().lower()
     if boundary not in ("periodic", "open"):
         raise ConfigError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
-    domain = Domain(sides=sides, periodic=boundary == "periodic")
 
     family = str(merged["family"]).strip().lower()
     if family not in FAMILIES:
@@ -158,20 +151,24 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         params = {"scale": as_float("pareto_scale"), "index": as_float("pareto_index")}
     else:
         params = {"mu": as_float("lognormal_mu"), "sigma": as_float("lognormal_sigma")}
-    appetite = AppetiteDistribution(
-        family=family,
-        params=params,
-        scale=as_float("scale"),
-        floor=as_float("floor"),
-        tail_exponent=as_float("tail_exponent"),
-    )
 
     intensity = as_float("intensity")
     if intensity <= 0:
         raise ConfigError("intensity must be positive")
     spacing = as_float("spacing")
-    if spacing <= 0:
-        raise ConfigError("spacing must be positive")
+    try:
+        domain = Domain(sides=sides, periodic=boundary == "periodic")
+        SiteGrid(domain=domain, spacing=spacing)  # the spacing must tile every side
+        appetite = AppetiteDistribution(
+            family=family,
+            params=params,
+            scale=as_float("scale"),
+            floor=as_float("floor"),
+            tail_exponent=as_float("tail_exponent"),
+        )
+    except (GeometryError, AppetiteConfigError) as exc:
+        raise ConfigError(str(exc)) from exc
+
     replicas = as_int("replicas")
     if replicas < 1:
         raise ConfigError("replicas must be >= 1")

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 class GeometryError(ValueError):
@@ -92,6 +93,16 @@ def pairwise_distances(points: np.ndarray, others: np.ndarray, domain: Domain) -
         delta *= delta
         sq += delta
     return np.sqrt(sq, out=sq)
+
+
+def kd_tree(points: np.ndarray, domain: Domain) -> cKDTree:
+    """kd-tree over the points, with periodic topology on a torus."""
+    if not domain.periodic:
+        return cKDTree(points)
+    # cKDTree(boxsize) rejects a coordinate equal to the side length, which
+    # the minimum-image distances accept.
+    sides = np.asarray(domain.sides)
+    return cKDTree(np.mod(points, sides), boxsize=sides)
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:

@@ -7,52 +7,24 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull
 
 from .allocation import (
     AllocationResult,
-    PointConfiguration,
     SiteGrid,
     gale_shapley,
     phase_diagnostics,
+    sample_replica,
 )
-from .appetite import AppetiteDistribution, sample_appetites
+from .appetite import AppetiteDistribution
 from .booleanmodel import BooleanModel
-from .geometry import Domain, distance, pairwise_distances, replica_rng, sample_poisson
+from .geometry import Domain, distance, kd_tree, pairwise_distances
 
 
 class PercolationError(ValueError):
     pass
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by size and path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def labels(self) -> np.ndarray:
-        """Component label per element, labels compacted to 0..k-1."""
-        roots = np.fromiter((self.find(i) for i in range(len(self.parent))), dtype=np.int64,
-                            count=len(self.parent))
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels
 
 
 @dataclass(frozen=True)
@@ -86,56 +58,70 @@ def _palm_origin(domain: Domain) -> np.ndarray:
     return np.zeros(domain.dim) if domain.periodic else np.asarray(domain.sides) / 2.0
 
 
+def _empty_report(labels: np.ndarray, d: int) -> ClusterReport:
+    return ClusterReport(
+        labels=labels,
+        component_sizes=np.zeros(0, dtype=np.int64),
+        crossing_axes=np.zeros((0, d), dtype=bool),
+        origin_component=-1,
+        max_origin_distance=0.0,
+        diameter=0.0,
+    )
+
+
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Component labels of n nodes joined by (m, 2) edges, numbered in order
+    of each component's first member."""
+    graph = coo_array((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
+                      shape=(n, n))
+    return connected_components(graph, directed=False)[1].astype(np.int64)
+
+
+def _crossing(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(k, d) flags: components holding a member with lo and one with hi on
+    each axis; lo and hi are (n, d) member flags."""
+    k = labels.max() + 1
+    return np.stack([(np.bincount(labels[lo[:, ax]], minlength=k) > 0)
+                     & (np.bincount(labels[hi[:, ax]], minlength=k) > 0)
+                     for ax in range(lo.shape[1])], axis=1)
+
+
 def ball_components(model: BooleanModel, domain: Domain,
                     origin: np.ndarray | None = None) -> ClusterReport:
     """Overlap components of the balls; tangency does not connect."""
     radii = np.asarray(model.radii)
     if np.any(~np.isfinite(radii)):
         raise PercolationError("infinite radius in model")
-    n = model.n_balls
+    centers = model.centers
     if origin is None:
         origin = _palm_origin(domain)
-    if n == 0:
-        return ClusterReport(
-            labels=np.zeros(0, dtype=np.int64),
-            component_sizes=np.zeros(0, dtype=np.int64),
-            crossing_axes=np.zeros((0, domain.dim), dtype=bool),
-            origin_component=-1,
-            max_origin_distance=0.0,
-            diameter=0.0,
-        )
-    dmat = pairwise_distances(model.centers, model.centers, domain)
-    overlap = dmat < radii[:, None] + radii[None, :]
-    uf = UnionFind(n)
-    for i, j in np.argwhere(np.triu(overlap, k=1)):
-        uf.union(int(i), int(j))
-    labels = uf.labels()
-    k = labels.max() + 1
-    sizes = np.bincount(labels, minlength=k)
+    if model.n_balls == 0:
+        return _empty_report(np.zeros(0, dtype=np.int64), domain.dim)
+    # The tree only proposes pairs; overlap is decided on the recomputed distance.
+    pairs = kd_tree(centers, domain).query_pairs(2.0 * radii.max() * (1 + 1e-9),
+                                                 output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    labels = _components(model.n_balls,
+                         pairs[distance(centers[i], centers[j], domain) < radii[i] + radii[j]])
+    if domain.periodic:
+        crossing = np.zeros((labels.max() + 1, domain.dim), dtype=bool)
+    else:
+        r = radii[:, None]
+        crossing = _crossing(labels, centers - r <= 0.0, centers + r >= np.asarray(domain.sides))
 
-    crossing = np.zeros((k, domain.dim), dtype=bool)
-    if not domain.periodic:
-        for ax, L in enumerate(domain.sides):
-            lo = model.centers[:, ax] - radii <= 0.0
-            hi = model.centers[:, ax] + radii >= L
-            for c in range(k):
-                m = labels == c
-                crossing[c, ax] = bool(np.any(lo & m) and np.any(hi & m))
-
-    d_origin = distance(origin[None, :], model.centers, domain)
+    d_origin = distance(origin[None, :], centers, domain)
     covering = d_origin < radii
     if np.any(covering):
         oc = int(labels[np.argmax(covering)])
-        m = labels == oc
-        max_reach = float(np.max(d_origin[m] + radii[m]))
-        sub = np.flatnonzero(m)
-        dd = dmat[np.ix_(sub, sub)] + radii[sub][:, None] + radii[sub][None, :]
-        diam = float(dd.max()) if len(sub) > 1 else float(2 * radii[sub[0]])
+        sub = np.flatnonzero(labels == oc)
+        max_reach = float(np.max(d_origin[sub] + radii[sub]))
+        dd = pairwise_distances(centers[sub], centers[sub], domain)
+        diam = float((dd + radii[sub][:, None] + radii[sub][None, :]).max())
     else:
         oc, max_reach, diam = -1, 0.0, 0.0
     return ClusterReport(
         labels=labels,
-        component_sizes=sizes,
+        component_sizes=np.bincount(labels),
         crossing_axes=crossing,
         origin_component=oc,
         max_origin_distance=max_reach,
@@ -166,58 +152,40 @@ def mask_components(mask: np.ndarray, grid: SiteGrid,
     flat = np.asarray(mask, dtype=bool).ravel()
     if flat.size != grid.n_cells:
         raise PercolationError("mask size does not match grid")
-    n = flat.size
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = np.full(flat.size, -1, dtype=np.int64)
     on = np.flatnonzero(flat)
     if on.size == 0:
-        return ClusterReport(
-            labels=labels,
-            component_sizes=np.zeros(0, dtype=np.int64),
-            crossing_axes=np.zeros((0, grid.domain.dim), dtype=bool),
-            origin_component=-1,
-            max_origin_distance=0.0,
-            diameter=0.0,
-        )
-    remap = -np.ones(n, dtype=np.int64)
+        return _empty_report(labels, grid.domain.dim)
+    remap = np.full(flat.size, -1, dtype=np.int64)
     remap[on] = np.arange(on.size)
-    uf = UnionFind(int(on.size))
     edges = _grid_neighbors(shape, grid.domain.periodic)
-    live = flat[edges[:, 0]] & flat[edges[:, 1]]
-    for a, b in edges[live]:
-        uf.union(int(remap[a]), int(remap[b]))
-    sub_labels = uf.labels()
+    sub_labels = _components(on.size, remap[edges[flat[edges[:, 0]] & flat[edges[:, 1]]]])
     labels[on] = sub_labels
-    k = sub_labels.max() + 1
-    sizes = np.bincount(sub_labels, minlength=k)
 
     d = grid.domain.dim
-    crossing = np.zeros((k, d), dtype=bool)
-    multi = np.unravel_index(on, shape)
     # Wrap adjacency makes face-touching meaningless on the torus; crossing
     # flags are an open-mode statistic.
-    for ax in range(d if not grid.domain.periodic else 0):
-        coords = multi[ax]
-        lo_set = np.unique(sub_labels[coords == 0])
-        hi_set = np.unique(sub_labels[coords == shape[ax] - 1])
-        both = np.intersect1d(lo_set, hi_set)
-        crossing[both, ax] = True
+    if grid.domain.periodic:
+        crossing = np.zeros((sub_labels.max() + 1, d), dtype=bool)
+    else:
+        multi = np.stack(np.unravel_index(on, shape), axis=1)
+        crossing = _crossing(sub_labels, multi == 0, multi == np.asarray(shape) - 1)
 
     if origin is None:
         origin = _palm_origin(grid.domain)
-    cells = grid.cell_centers()
     origin_flat = _containing_cell(origin, grid)
     if flat[origin_flat]:
         oc = int(labels[origin_flat])
         member = on[sub_labels == oc]
-        pts = cells[member]
-        dorig = distance(origin[None, :], pts, grid.domain)
+        cells = grid.cell_centers()
+        dorig = distance(origin[None, :], cells[member], grid.domain)
         max_reach = float(dorig.max() + grid.spacing * math.sqrt(d) / 2)
-        diam = _component_diameter(pts, member, shape, grid)
+        diam = _component_diameter(member, cells, grid)
     else:
         oc, max_reach, diam = -1, 0.0, 0.0
     return ClusterReport(
         labels=labels,
-        component_sizes=sizes,
+        component_sizes=np.bincount(sub_labels),
         crossing_axes=crossing,
         origin_component=oc,
         max_origin_distance=max_reach,
@@ -233,23 +201,37 @@ def _containing_cell(point: np.ndarray, grid: SiteGrid) -> int:
     return int(np.ravel_multi_index(ix, shape))
 
 
-def _component_diameter(pts: np.ndarray, member: np.ndarray,
-                        shape: tuple[int, ...], grid: SiteGrid) -> float:
-    """Exact diameter over cell midpoints; restricted to boundary cells when
-    large (the farthest pair is always extremal, hence on the set boundary)."""
-    if len(pts) > 4000:
-        flat = np.zeros(int(np.prod(shape)), dtype=bool)
-        flat[member] = True
-        cube = flat.reshape(shape)
+def _component_diameter(member: np.ndarray, cells: np.ndarray, grid: SiteGrid) -> float:
+    """Largest distance between the midpoints of the member cells, plus the
+    cell diagonal h*sqrt(d)."""
+    diagonal = grid.spacing * math.sqrt(grid.domain.dim)
+    pts = cells[member]
+    if not grid.domain.periodic:
+        # The farthest pair are hull vertices. A face-connected cluster spans
+        # every axis it varies along, so its hull over those axes is
+        # full-dimensional; on one axis the two extremes suffice.
+        span = np.ptp(pts, axis=0) > 0
+        if span.sum() > 1:
+            pts = pts[ConvexHull(pts[:, span]).vertices]
+        elif span.any():
+            pts = pts[[pts[:, span].argmin(), pts[:, span].argmax()]]
+    elif len(pts) > 4000:
+        # Large clusters are measured over their boundary cells, those with a
+        # face-neighbour (across the wrap) outside the cluster.
+        shape = grid.shape
+        cube = np.zeros(grid.n_cells, dtype=bool)
+        cube[member] = True
+        cube = cube.reshape(shape)
         interior = cube.copy()
         for ax in range(len(shape)):
             interior &= np.roll(cube, 1, axis=ax) & np.roll(cube, -1, axis=ax)
-        boundary_flat = flat & ~interior.ravel()
-        pts = grid.cell_centers()[np.flatnonzero(boundary_flat)]
-    if len(pts) == 1:
-        return float(grid.spacing)
-    dd = pairwise_distances(pts, pts, grid.domain)
-    return float(dd.max() + grid.spacing * math.sqrt(len(shape)))
+        boundary = (cube & ~interior).ravel()
+        if not boundary.any():
+            # The whole torus: by translation symmetry the farthest midpoint
+            # from any one midpoint gives the diameter.
+            return float(pairwise_distances(pts[:1], pts, grid.domain).max() + diagonal)
+        pts = cells[boundary]
+    return float(pairwise_distances(pts, pts, grid.domain).max() + diagonal)
 
 
 def claimed_components(alloc: AllocationResult, grid: SiteGrid,
@@ -284,13 +266,9 @@ def crossing_event(model: BooleanModel, domain: Domain, x: np.ndarray,
     )
     report = ball_components(sub, domain)
     d_x = distance(x[None, :], sub.centers, domain)
-    touches_inner = d_x < sub.radii + beta
-    exits_outer = d_x + sub.radii > 2 * beta
-    for c in range(report.n_components):
-        m = report.labels == c
-        if np.any(touches_inner & m) and np.any(exits_outer & m):
-            return True
-    return False
+    touches_inner = report.labels[d_x < sub.radii + beta]
+    exits_outer = report.labels[d_x + sub.radii > 2 * beta]
+    return bool(np.intersect1d(touches_inner, exits_outer).size)
 
 
 @dataclass(frozen=True)
@@ -323,10 +301,7 @@ def run_replica(domain: Domain, grid: SiteGrid, intensity: float,
                 dist: AppetiteDistribution, seed: int, replica: int):
     """One coupled replica: centers and appetite draws depend only on
     (seed, replica), never on the scale."""
-    rng = replica_rng(seed, replica)
-    centers = sample_poisson(domain, intensity, rng)
-    appetites = sample_appetites(dist, len(centers), rng)
-    config = PointConfiguration(centers=centers, appetites=appetites)
+    config = sample_replica(domain, intensity, dist, seed, replica)
     return gale_shapley(config, grid), config
 
 

@@ -207,7 +207,7 @@ def run_validation(seed: int) -> list[CheckResult]:
             fails += 1
     results.append(CheckResult("ball_union_dominates_claimed_set", n_inst, fails))
 
-    # union-find vs BFS on ball overlap graphs
+    # csgraph components vs BFS on ball overlap graphs
     fails = 0
     n_inst = 20
     for i in range(n_inst):

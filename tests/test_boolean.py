@@ -15,7 +15,14 @@ from allocperc.booleanmodel import (
     min_radius,
     tail_statistics,
 )
-from allocperc.geometry import Domain, distance, replica_rng, sample_poisson, unit_ball_volume
+from allocperc.geometry import (
+    Domain,
+    distance,
+    pairwise_distances,
+    replica_rng,
+    sample_poisson,
+    unit_ball_volume,
+)
 
 
 def bisection_oracle(center_index, config, domain, tol=1e-12):
@@ -188,6 +195,49 @@ def test_build_boolean_matches_per_center_sweep():
     model = build_boolean(config, dom)
     for j in range(len(centers)):
         assert model.radii[j] == pytest.approx(compute_radius(j, config, dom), abs=1e-12)
+
+
+def dense_boolean(config, domain):
+    """Radii and censoring flags by the all-pairs sweep: one distance matrix,
+    one stable row sort and the first admissible root of every row. Shares no
+    code with the booleanmodel kernel, whose radii it must match bit for bit."""
+    n, d = config.n_centers, domain.dim
+    pi_d = unit_ball_volume(d)
+    dmat = pairwise_distances(config.centers, config.centers, domain)
+    order = np.argsort(dmat, axis=1, kind="stable")
+    sd = np.take_along_axis(dmat, order, axis=1)
+    cum = np.cumsum(config.appetites[order], axis=1)
+    starts = sd / 2.0
+    ends = np.hstack([sd[:, 1:] / 2.0, np.full((n, 1), np.inf)])
+    roots = (cum / pi_d) ** (1.0 / d)
+    first = np.argmax((roots < ends) & (starts < ends), axis=1)
+    rows = np.arange(n)
+    radii = np.maximum(starts[rows, first], roots[rows, first])
+    sides = np.asarray(domain.sides)
+    caps = [min(domain.sides) / 4.0 if domain.periodic
+            else float(np.minimum(c, sides - c).min()) / 2.0 for c in config.centers]
+    return radii, radii > np.asarray(caps)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_build_boolean_matches_dense_sweep(seed):
+    d = 1 + seed % 3
+    periodic = bool(seed // 3 % 2)
+    rng = replica_rng(seed + 300)
+    sides = rng.uniform(3.0, 9.0, size=d)
+    centers = rng.random((int(rng.integers(20, 150)), d)) * sides
+    appetites = rng.uniform(0.05, 1.5, size=len(centers))
+    if seed % 4 == 3:  # lattice centers and equal appetites: ties everywhere
+        centers = np.floor(centers)
+        appetites[:] = 0.4
+    if periodic:
+        centers[0] = sides  # a coordinate equal to the side length wraps to 0
+    config = PointConfiguration(centers, appetites)
+    dom = Domain(sides=tuple(sides), periodic=periodic)
+    model = build_boolean(config, dom)
+    radii, truncated = dense_boolean(config, dom)
+    assert np.array_equal(model.radii, radii)
+    assert np.array_equal(model.truncated, truncated)
 
 
 def test_open_mode_truncation_flags():

@@ -98,6 +98,30 @@ def test_boolean_outputs(tmp_path):
     assert manifest["extras"]["sup_statistic"] > 0
 
 
+@pytest.mark.parametrize("subcommand, extra", [
+    ("allocate", "sides = 10,10\nspacing = 0.3\n"),  # the spacing does not tile the box
+    ("allocate", "scale = -1\n"),
+    ("boolean", "sides = 2,2\nboundary = open\nfloor = 1\nscale = 5\n"),  # all censored
+])
+def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE_CFG + extra)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_percolate_fully_claimed_torus(tmp_path):
+    # no boundary cell: the diameter is the farthest midpoint from any one
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(BASE_CFG + "sides = 20,20\nscale = 3\n")
+    out = tmp_path / "run"
+    assert main(["percolate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    for row in read_csv(out / "components.csv")[1:]:
+        assert row[2] == "6400"
+        assert float(row[6]) == pytest.approx(10.25 * 2 ** 0.5, rel=1e-9)
+
+
 def test_percolate_outputs(cfg_file, tmp_path):
     out = tmp_path / "run"
     assert main(["percolate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK

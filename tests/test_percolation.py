@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from allocperc.percolation import (
     critical_sweep,
     crossing_event,
     mask_components,
+    run_replica,
 )
 
 
@@ -27,7 +30,7 @@ def make_model(centers, radii):
 
 
 def bfs_labels(centers, radii, domain):
-    """Plain BFS over the overlap graph; oracle for the union-find path."""
+    """Plain BFS over the overlap graph; oracle for the csgraph path."""
     n = len(radii)
     labels = -np.ones(n, dtype=int)
     nxt = 0
@@ -154,6 +157,50 @@ def test_crossing_flags_on_a_strip():
     assert report.n_components == 1
     assert report.crossing_axes[0, 0]
     assert not report.crossing_axes[0, 1]
+
+
+def row_extreme_diameter(cluster, h):
+    """Largest midpoint distance of a 2-d cell cluster plus the cell diagonal,
+    by brute force over the leftmost and rightmost cell of every row: each
+    vertex of the hull, hence each end of the farthest pair, is one of them."""
+    ends = []
+    for i, row in enumerate(cluster):
+        cols = np.flatnonzero(row)
+        if cols.size:
+            ends += [(i, cols[0]), (i, cols[-1])]
+    p = (np.asarray(ends) + 0.5) * h
+    diff = p[:, None, :] - p[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=-1)).max()) + h * math.sqrt(2)
+
+
+@pytest.mark.parametrize("periodic, want", [(False, 30.0), (True, 15.25)])
+def test_origin_diameter_of_a_full_box(periodic, want):
+    # no cell of a full box has a face-neighbour outside the cluster
+    grid = SiteGrid(domain=Domain(sides=(30.0, 30.0), periodic=periodic), spacing=0.25)
+    report = mask_components(np.ones(grid.shape, dtype=bool), grid)
+    assert report.diameter == pytest.approx(want * math.sqrt(2), rel=1e-12)
+
+
+def test_origin_diameter_of_an_edge_touching_cluster():
+    dom = Domain(sides=(30.0, 30.0), periodic=False)
+    grid = SiteGrid(domain=dom, spacing=0.25)
+    dist = AppetiteDistribution("exponential", {"mean": 1.0}, scale=0.95)
+    alloc, _ = run_replica(dom, grid, 1.0, dist, seed=1, replica=0)
+    report = claimed_components(alloc, grid)
+    cluster = (report.labels == report.origin_component).reshape(grid.shape)
+    assert cluster.sum() > 4000 and cluster[0].any()
+    assert report.diameter == pytest.approx(row_extreme_diameter(cluster, 0.25), rel=1e-12)
+    assert report.diameter == pytest.approx(42.43, abs=0.005)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_origin_diameter_of_one_cell(periodic):
+    grid = SiteGrid(domain=Domain(sides=(4.0, 4.0), periodic=periodic), spacing=0.5)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[(0, 0) if periodic else (4, 4)] = True  # the cell holding the origin
+    report = mask_components(mask, grid)
+    assert report.origin_component == 0
+    assert report.diameter == pytest.approx(0.5 * math.sqrt(2), rel=1e-12)
 
 
 def test_crossing_event_no_balls():
