@@ -8,18 +8,28 @@ assignment for the discretized instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .appetite import AppetiteDistribution, sample_appetites
-from .geometry import Domain, GeometryError, pairwise_distances, replica_rng, sample_poisson
+from .geometry import (
+    Domain,
+    GeometryError,
+    kd_tree,
+    paired_distances,
+    pairwise_distances,
+    replica_rng,
+    sample_poisson,
+)
 
 UNCLAIMED = -1
 TIE = -2
 _NONE = -3  # internal: cell not currently held by any center
 
 TIE_REL_TOL = 1e-9  # times grid spacing
+PREF_K = 32  # nearest centers listed per cell; farther ones are reached by a jump
+_JUMP_BLOCK = 1 << 20  # cell-center pairs per distance block of a jump
 
 
 class AllocationError(RuntimeError):
@@ -113,6 +123,9 @@ class AllocationResult:
     territory_volumes: np.ndarray
     sated: np.ndarray
     grid_shape: tuple[int, ...]
+    # Deferred-acceptance rounds and cells that went past their preference
+    # list; diagnostics for the manifest only.
+    counters: dict = field(default_factory=dict)
 
     @property
     def claimed_mask(self) -> np.ndarray:
@@ -136,6 +149,12 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     not rejected it; each center keeps the nearest applicants up to its quota
     and rejects the rest. Cells rejected everywhere end UNCLAIMED; cells whose
     current and next candidate are equidistant within tolerance end TIE.
+
+    Centers are ranked by (distance, index). Each cell lists its PREF_K
+    nearest centers from a kd-tree; past the certified prefix of that list it
+    jumps straight to the first center that can still take it. The rounds are
+    those of the dense walk over full preference rows, so the result is the
+    same, TIE cells included, and no (cells x centers) array is built.
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
@@ -147,115 +166,124 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             territory_volumes=np.zeros(0),
             sated=np.ones(0, dtype=bool),
             grid_shape=grid.shape,
+            counters={"rounds": 0, "beyond_list": 0},
         )
 
+    domain = grid.domain
     cells = grid.cell_centers()
-    dist = pairwise_distances(cells, config.centers, grid.domain)
-    pref = np.argsort(dist, axis=1, kind="stable")
-    sdist = np.take_along_axis(dist, pref, axis=1)
-    del dist
+    tree = kd_tree(config.centers, domain)
+    nbr, nbr_d, bound = _preference_lists(cells, config.centers, tree, domain)
+    plen = np.count_nonzero(nbr_d < bound[:, None], axis=1)  # certified prefix
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
     tie_tol = TIE_REL_TOL * grid.spacing
 
-    ptr = np.zeros(n_cells, dtype=np.int64)  # index into pref of current candidate
+    ptr = np.zeros(n_cells, dtype=np.int64)  # list position; plen = past the list
+    cand = np.zeros(n_cells, dtype=np.int64)  # current candidate (distance, center)
+    dcand = np.zeros(n_cells)
+    lo_d = np.full(n_cells, -np.inf)  # past the list: search keys after this one
+    lo_c = np.full(n_cells, -1, dtype=np.int64)
     held = np.zeros(n_cells, dtype=bool)
     decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED or TIE, final
+    jumped = np.zeros(n_cells, dtype=bool)
     # A full center never again accepts strictly beyond its current worst
     # held distance; cutoffs only shrink, so skipping on them is safe.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
     full = quota == 0
 
+    def exhaust(idx):
+        status[idx] = UNCLAIMED
+        decided[idx] = True
+
     cell_idx = np.arange(n_cells)
     max_rounds = 10 * max(n_cells, 1)
-    for _ in range(max_rounds):
+    for rounds in range(1, max_rounds + 1):
         active = cell_idx[~decided & ~held]
         if active.size == 0:
             break
+        # No center takes a cell beyond the largest cutoff: every later key
+        # of such a cell would be skipped, so it is UNCLAIMED now.
+        reach = np.max(np.where(full, cutoff, np.inf))
 
-        # Fast-forward past centers certain to reject; each cell is touched
-        # once per skipped candidate, not once per loop pass.
-        settled = []
+        # Fast-forward past centers certain to reject; full and cutoff are
+        # fixed meanwhile, so a cell past its list jumps to the first center
+        # the walk would stop at.
+        settled, past = [], []
         work = active
         while work.size:
-            cand = pref[work, ptr[work]]
-            dcand = sdist[work, ptr[work]]
-            skip = full[cand] & (dcand > cutoff[cand])
-            settled.append(work[~skip])
-            bumped = work[skip]
-            ptr[bumped] += 1
-            alive = ptr[bumped] < n_centers
-            exhausted = bumped[~alive]
-            status[exhausted] = UNCLAIMED
-            decided[exhausted] = True
-            work = bumped[alive]
-        applicants = np.concatenate(settled) if settled else active
-
-        pool = np.concatenate([applicants, cell_idx[held & ~decided]])
-        pool = np.unique(pool)
-        if pool.size == 0:
-            remaining = cell_idx[~decided & ~held]
-            status[remaining] = UNCLAIMED
-            decided[remaining] = True
-            break
-
-        cand = pref[pool, ptr[pool]]
-        dcand = sdist[pool, ptr[pool]]
+            inside = ptr[work] < plen[work]
+            past.append(work[~inside])
+            work = work[inside]
+            c = nbr[work, ptr[work]]
+            dc = nbr_d[work, ptr[work]]
+            gone = dc > reach
+            exhaust(work[gone])
+            skip = ~gone & full[c] & (dc > cutoff[c])
+            stay = ~gone & ~skip
+            settled.append(work[stay])
+            cand[work[stay]], dcand[work[stay]] = c[stay], dc[stay]
+            work = work[skip]
+            lo_d[work], lo_c[work] = dc[skip], c[skip]
+            ptr[work] += 1
+        past = np.concatenate(past)
+        floor = np.maximum(lo_d[past], bound[past])  # no later key is nearer
+        exhaust(past[floor > reach])
+        keep = floor <= reach
+        past, floor = past[keep], floor[keep]
+        if past.size:
+            c, dc = _jump(cells[past], lo_d[past], lo_c[past], floor.min(),
+                          config.centers, domain, full, cutoff)
+            found = c >= 0
+            exhaust(past[~found])
+            past = past[found]
+            cand[past], dcand[past] = c[found], dc[found]
+            jumped[past] = True
+            settled.append(past)
+        applicants = np.concatenate(settled)
 
         # Equidistant next candidate: the cell sits on a territory boundary.
-        applying = ~held[pool]
-        has_next = ptr[pool] + 1 < n_centers
-        nxt = np.where(has_next, np.minimum(ptr[pool] + 1, n_centers - 1), ptr[pool])
-        dnext = sdist[pool, nxt]
-        tied = applying & has_next & (dnext - dcand < tie_tol)
-        if np.any(tied):
-            tcells = pool[tied]
-            status[tcells] = TIE
-            decided[tcells] = True
-            keepm = ~tied
-            pool, cand, dcand = pool[keepm], cand[keepm], dcand[keepm]
+        p = ptr[applicants]
+        listed = p + 1 < plen[applicants]
+        tied = np.zeros(applicants.size, dtype=bool)
+        a = applicants[listed]
+        tied[listed] = nbr_d[a, p[listed] + 1] - dcand[a] < tie_tol
+        a = applicants[~listed]
+        tied[~listed] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol,
+                                        config.centers, domain)
+        status[applicants[tied]] = TIE
+        decided[applicants[tied]] = True
 
-        #Dense pool: every undecided cell's candidate center ranks it among
-        # held + new applicants; keep the quota nearest.
-        order = np.lexsort((pool, dcand, cand))
-        gc = cand[order]
-        starts = np.flatnonzero(np.r_[True, gc[1:] != gc[:-1]])
-        group_of = np.cumsum(np.r_[True, gc[1:] != gc[:-1]]) - 1
-        rank = np.arange(len(order)) - starts[group_of]
+        # Every undecided cell's candidate center ranks it among held + new
+        # applicants; keep the quota nearest.
+        pool = np.concatenate([applicants[~tied], cell_idx[held]])
+        if pool.size == 0:
+            break
+        pool = pool[np.lexsort((pool, dcand[pool], cand[pool]))]
+        gc = cand[pool]
+        new = np.r_[True, gc[1:] != gc[:-1]]
+        starts = np.flatnonzero(new)
+        rank = np.arange(pool.size) - starts[np.cumsum(new) - 1]
         keep = rank < quota[gc]
-
-        kept_cells = pool[order[keep]]
-        rej_cells = pool[order[~keep]]
-        held[kept_cells] = True
-        held[rej_cells] = False
-        ptr[rej_cells] += 1
-        exhausted = rej_cells[ptr[rej_cells] >= n_centers]
-        status[exhausted] = UNCLAIMED
-        decided[exhausted] = True
+        rej = pool[~keep]
+        held[pool[keep]] = True
+        held[rej] = False
+        lo_d[rej], lo_c[rej] = dcand[rej], cand[rej]
+        ptr[rej] = np.minimum(ptr[rej] + 1, plen[rej])
 
         # Group sizes / new cutoffs for the fast-forward phase.
-        sizes = np.diff(np.r_[starts, len(order)])
         heads = gc[starts]
-        grp_full = sizes >= quota[heads]
-        full[heads] = grp_full
-        kept_d = dcand[order[keep]]
-        kept_c = gc[keep]
-        if kept_c.size:
-            kstarts = np.flatnonzero(np.r_[True, kept_c[1:] != kept_c[:-1]])
-            kends = np.r_[kstarts[1:], len(kept_c)] - 1
-            worst = kept_d[kends]
-            kheads = kept_c[kstarts]
-            cutoff[kheads] = np.where(full[kheads], worst, np.inf)
+        sizes = np.diff(np.r_[starts, pool.size])
+        full[heads] = sizes >= quota[heads]
+        worst = dcand[pool[starts + np.minimum(sizes, quota[heads]) - 1]]
+        cutoff[heads] = np.where(full[heads], worst, np.inf)
 
-        if rej_cells.size == 0 and not np.any(~decided & ~held):
+        if rej.size == 0 and not np.any(~decided & ~held):
             break
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
 
-    held_cells = cell_idx[held]
-    status[held_cells] = pref[held_cells, ptr[held_cells]]
-
+    status[held] = cand[held]
     counts = np.bincount(status[status >= 0], minlength=n_centers)
     volumes = counts * hd
     # Satedness tolerant to one-cell quantization of the last shell.
@@ -265,7 +293,88 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         territory_volumes=volumes,
         sated=sated,
         grid_shape=grid.shape,
+        counters={"rounds": rounds, "beyond_list": int(np.count_nonzero(jumped))},
     )
+
+
+def _preference_lists(cells: np.ndarray, centers: np.ndarray, tree, domain: Domain):
+    """Each cell's PREF_K nearest centers in (distance, index) order, their
+    distances, and the bound below which the list holds every center.
+
+    The tree only selects neighbours; distances are recomputed as in
+    pairwise_distances and sorted stably over index-sorted neighbours, so a
+    row matches the start of the dense preference row up to the bound.
+    """
+    k = min(PREF_K, len(centers))
+    _, nbr = tree.query(cells, k=k)
+    nbr = np.sort(nbr.reshape(len(cells), k), axis=1)
+    dist = paired_distances(cells[:, None, :], centers[nbr], domain)
+    order = np.argsort(dist, axis=1, kind="stable")
+    nbr = np.take_along_axis(nbr, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    if k == len(centers):
+        return nbr, dist, np.full(len(cells), np.inf)
+    # Tree and recomputed distances differ by rounding only, so a center
+    # missing from a list is no nearer than its farthest entry less 1e-12.
+    far = dist[:, -1]
+    return nbr, dist, far - 1e-12 * np.maximum(far, 1.0)
+
+
+def _jump(pts, lo_d, lo_c, floor, centers, domain, full, cutoff):
+    """For each point, the nearest center by (distance, index) after the key
+    (lo_d, lo_c) that is not full or holds it within its cutoff; -1 if none.
+
+    Candidates are the centers not full and the full ones whose cutoff
+    reaches floor, which no later key of any point undercuts; they are
+    scanned in row blocks of about _JUMP_BLOCK pairs.
+    """
+    g = np.flatnonzero(~full | (cutoff >= floor))
+    best_c = np.full(len(pts), -1, dtype=np.int64)
+    best_d = np.full(len(pts), np.inf)
+    if g.size == 0:
+        return best_c, best_d
+    open_g, cut_g = ~full[g], cutoff[g]
+    step = max(1, _JUMP_BLOCK // g.size)
+    for s in range(0, len(pts), step):
+        rows = slice(s, s + step)
+        d = pairwise_distances(pts[rows], centers[g], domain)
+        ld, lc = lo_d[rows, None], lo_c[rows, None]
+        ok = (open_g | (d <= cut_g)) & ((d > ld) | ((d == ld) & (g > lc)))
+        d[~ok] = np.inf
+        j = np.argmin(d, axis=1)  # first of equal distances: the lower index
+        dj = d[np.arange(len(j)), j]
+        hit = dj < np.inf
+        best_c[rows] = np.where(hit, g[j], -1)
+        best_d[rows] = dj
+    return best_c, best_d
+
+
+def _tied_past_list(tree, pts, d, c, tol, centers, domain):
+    """Whether some center after the key (d, c) lies within d + tol.
+
+    A kd-tree count of the centers in (d - tol, d + 2 tol] settles most
+    points: a count of 1 is the candidate alone (tree distances are off by
+    rounding, far below tol). The rest recompute the distances of their
+    neighbours within d + 2 tol.
+    """
+    tied = np.zeros(len(pts), dtype=bool)
+    if len(pts) == 0:
+        return tied
+    hi = d + 2.0 * tol
+    n_hi = tree.query_ball_point(pts, hi, return_length=True)
+    n_lo = tree.query_ball_point(pts, np.maximum(d - tol, 0.0), return_length=True)
+    many = np.flatnonzero(n_hi - np.where(d - tol >= 0.0, n_lo, 0) > 1)
+    if many.size == 0:
+        return tied
+    lists = tree.query_ball_point(pts[many], hi[many])
+    owner = np.repeat(np.arange(many.size), [len(x) for x in lists])
+    other = np.concatenate(lists).astype(np.int64)
+    r = paired_distances(pts[many][owner], centers[other], domain)
+    dd, cc = d[many][owner], c[many][owner]
+    later = (r > dd) | ((r == dd) & (other > cc))
+    tied[many] = np.bincount(owner, weights=later & (r - dd < tol),
+                             minlength=many.size) > 0
+    return tied
 
 
 def verify_stability(

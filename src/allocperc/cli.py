@@ -107,7 +107,7 @@ def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         diag = phase_diagnostics(alloc, config, grid)
         raster = alloc.assignment.reshape(grid.shape) if rep == 0 and cfg.domain.dim == 2 else None
         return (rep, config.n_centers, diag.claimed_volume_fraction,
-                diag.fraction_sated, diag.unclaimed_volume), raster
+                diag.fraction_sated, diag.unclaimed_volume), raster, alloc.counters
 
     results = _map_replicas(cfg, one)
     rows = [list(r[0]) for r in results]
@@ -119,7 +119,7 @@ def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     params = PhaseParams(cfg.intensity, cfg.appetite.scale,
                          moment_report(replace(cfg.appetite, floor=0.0, scale=1.0)).mean)
     _log(f"allocate: {cfg.replicas} replicas, phase {classify_phase(params)}")
-    return EXIT_OK, {}
+    return EXIT_OK, {"counters": [{"replica": r[0][0], **r[2]} for r in results]}
 
 
 def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
@@ -176,6 +176,8 @@ def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+    if cfg.workers > 1:
+        raise ConfigError("sweep runs its coupled replicas serially; set workers = 1")
     if cfg.domain.periodic:
         raise ConfigError("sweep detects box crossings; set boundary = open")
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
@@ -232,7 +234,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
 
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
-    results = run_validation(cfg.seed)
+    results = run_validation(cfg.seed, cfg.workers)
     _write_csv(
         out / "validation.csv",
         ["check", "instances", "failures", "passed"],

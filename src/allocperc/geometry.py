@@ -75,19 +75,26 @@ def distance(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
 
 
 def pairwise_distances(points: np.ndarray, others: np.ndarray, domain: Domain) -> np.ndarray:
-    """(n, m) distance matrix between two point sets.
-
-    Accumulates squared per-axis differences to avoid the (n, m, d) temporary.
-    """
+    """(n, m) distance matrix between two point sets."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     oth = np.atleast_2d(np.asarray(others, dtype=float))
     if pts.shape[-1] != domain.dim or oth.shape[-1] != domain.dim:
         raise GeometryError(
             f"dimension mismatch: points {pts.shape[-1]}/{oth.shape[-1]}d, domain {domain.dim}d"
         )
-    sq = np.zeros((len(pts), len(oth)))
+    return paired_distances(pts[:, None, :], oth[None, :, :], domain)
+
+
+def paired_distances(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
+    """Distances between the broadcast point pairs a[..., :] and b[..., :].
+
+    Accumulates squared per-axis differences to avoid the (..., d) temporary.
+    Every entry takes the same float operations whatever the shapes, so
+    distances to a subset of points equal the matching matrix entries.
+    """
+    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     for ax, L in enumerate(domain.sides):
-        delta = np.abs(np.subtract.outer(pts[:, ax], oth[:, ax]))
+        delta = np.abs(a[..., ax] - b[..., ax])
         if domain.periodic:
             np.minimum(delta, L - delta, out=delta)
         delta *= delta

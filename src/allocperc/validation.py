@@ -7,6 +7,7 @@ oracle (bisection, BFS, exact summation) on randomized instances.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,10 +135,8 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
-def run_validation(seed: int) -> list[CheckResult]:
-    results = []
-
-    # stability of deferred acceptance on random instances
+def _check_stability(seed: int) -> CheckResult:
+    """Stability of deferred acceptance on random instances."""
     fails = 0
     n_inst = 20
     for i in range(n_inst):
@@ -150,9 +149,11 @@ def run_validation(seed: int) -> list[CheckResult]:
         alloc = gale_shapley(config, grid)
         if verify_stability(alloc, config, grid):
             fails += 1
-    results.append(CheckResult("stability", n_inst, fails))
+    return CheckResult("stability", n_inst, fails)
 
-    # radius sweep against the bisection oracle
+
+def _check_radius_sweep(seed: int) -> CheckResult:
+    """Radius sweep against the bisection oracle."""
     fails = 0
     n_inst = 50
     for i in range(n_inst):
@@ -168,9 +169,11 @@ def run_validation(seed: int) -> list[CheckResult]:
         slow = bisection_radius_oracle(j, config, domain)
         if abs(fast - slow) > 1e-9:
             fails += 1
-    results.append(CheckResult("radius_sweep_vs_bisection", n_inst, fails))
+    return CheckResult("radius_sweep_vs_bisection", n_inst, fails)
 
-    # pathwise monotonicity of the claimed set in the scale
+
+def _check_monotone_in_scale(seed: int) -> CheckResult:
+    """Pathwise monotonicity of the claimed set in the scale."""
     fails = 0
     n_inst = 20
     dist_lo = AppetiteDistribution("exponential", {"mean": 1.0}, scale=0.3, floor=0.1)
@@ -186,9 +189,11 @@ def run_validation(seed: int) -> list[CheckResult]:
         ok = a1.assignment >= 0
         if np.any(ok & ~(a2.assignment >= 0) & (a2.assignment != TIE)):
             fails += 1
-    results.append(CheckResult("claimed_set_monotone_in_scale", n_inst, fails))
+    return CheckResult("claimed_set_monotone_in_scale", n_inst, fails)
 
-    # domination of the claimed set by the ball union
+
+def _check_domination(seed: int) -> CheckResult:
+    """Domination of the claimed set by the ball union."""
     fails = 0
     n_inst = 20
     for i in range(n_inst):
@@ -205,9 +210,11 @@ def run_validation(seed: int) -> list[CheckResult]:
         model = build_boolean(config, domain)
         if check_domination(alloc, model, config, grid):
             fails += 1
-    results.append(CheckResult("ball_union_dominates_claimed_set", n_inst, fails))
+    return CheckResult("ball_union_dominates_claimed_set", n_inst, fails)
 
-    # csgraph components vs BFS on ball overlap graphs
+
+def _check_ball_components(seed: int) -> CheckResult:
+    """csgraph components vs BFS on ball overlap graphs."""
     fails = 0
     n_inst = 20
     for i in range(n_inst):
@@ -225,9 +232,11 @@ def run_validation(seed: int) -> list[CheckResult]:
         slow = bfs_ball_components_oracle(centers, radii, domain)
         if not _same_partition(fast, slow):
             fails += 1
-    results.append(CheckResult("ball_components_vs_bfs", n_inst, fails))
+    return CheckResult("ball_components_vs_bfs", n_inst, fails)
 
-    # grid components vs flood fill
+
+def _check_mask_components(seed: int) -> CheckResult:
+    """Grid components vs flood fill."""
     fails = 0
     n_inst = 20
     for i in range(n_inst):
@@ -240,9 +249,11 @@ def run_validation(seed: int) -> list[CheckResult]:
         on = mask.ravel()
         if not _same_partition(fast.ravel()[on], slow.ravel()[on]):
             fails += 1
-    results.append(CheckResult("mask_components_vs_floodfill", n_inst, fails))
+    return CheckResult("mask_components_vs_floodfill", n_inst, fails)
 
-    # Chernoff bound dominates the exact Poisson tail
+
+def _check_chernoff(seed: int) -> CheckResult:
+    """Chernoff bound dominates the exact Poisson tail (seed unused)."""
     fails = 0
     n_inst = 0
     for mean in (1.0, 5.0, 10.0, 50.0):
@@ -252,6 +263,18 @@ def run_validation(seed: int) -> list[CheckResult]:
             exact = exact_poisson_tail(mean, math.ceil(a))
             if poisson_chernoff(mean, a) < exact - 1e-12:
                 fails += 1
-    results.append(CheckResult("poisson_chernoff_dominates_exact_tail", n_inst, fails))
+    return CheckResult("poisson_chernoff_dominates_exact_tail", n_inst, fails)
 
-    return results
+
+_CHECKS = (_check_stability, _check_radius_sweep, _check_monotone_in_scale,
+           _check_domination, _check_ball_components, _check_mask_components,
+           _check_chernoff)
+
+
+def run_validation(seed: int, workers: int = 1) -> list[CheckResult]:
+    """Every check, in a fixed order. Each check draws from its own seeded
+    streams, so running them on a thread pool changes no result."""
+    if workers == 1:
+        return [check(seed) for check in _CHECKS]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda check: check(seed), _CHECKS))

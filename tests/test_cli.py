@@ -135,6 +135,35 @@ def test_sweep_needs_open_box(cfg_file, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_sweep_rejects_workers(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("boundary = periodic", "boundary = open"))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--workers", "2"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_validate_same_on_a_thread_pool(cfg_file, tmp_path):
+    runs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"w{workers}"
+        assert main(["validate", "--config", str(cfg_file), "--out", str(out),
+                     "--workers", workers]) == EXIT_OK
+        runs.append((out / "validation.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_allocate_counters_go_to_the_manifest_only(cfg_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(["allocate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+    counters = json.loads((out / "manifest.json").read_text())["extras"]["counters"]
+    assert [c["replica"] for c in counters] == [0, 1]
+    assert all(c["rounds"] >= 1 and c["beyond_list"] >= 0 for c in counters)
+    assert "rounds" not in (out / "allocation.csv").read_text()
+
+
 def test_sweep_monotone_column(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(BASE_CFG.replace("boundary = periodic", "boundary = open"))

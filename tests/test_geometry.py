@@ -9,6 +9,7 @@ from allocperc.geometry import (
     Domain,
     GeometryError,
     distance,
+    paired_distances,
     pairwise_distances,
     replica_rng,
     sample_poisson,
@@ -75,6 +76,19 @@ def test_pairwise_matches_scalar():
     for i in range(9):
         for j in range(4):
             assert mat[i, j] == pytest.approx(float(distance(pts[i], oth[j], dom)), abs=1e-12)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_paired_distances_equal_matrix_entries(periodic):
+    # gathered neighbour distances must equal the dense matrix bit for bit
+    dom = Domain(sides=(7.0, 5.0, 3.0), periodic=periodic)
+    rng = replica_rng(6)
+    pts = rng.random((30, 3)) * np.array(dom.sides)
+    oth = rng.random((20, 3)) * np.array(dom.sides)
+    idx = rng.integers(0, 20, size=(30, 8))
+    mat = pairwise_distances(pts, oth, dom)
+    assert np.array_equal(paired_distances(pts[:, None, :], oth[idx], dom),
+                          np.take_along_axis(mat, idx, axis=1))
 
 
 def test_sample_poisson_reproducible_and_in_domain():
