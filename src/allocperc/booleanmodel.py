@@ -9,13 +9,16 @@ is below the finiteness threshold.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, pairwise_distances, unit_ball_volume
+from .geometry import Domain, distance, kd_tree, paired_distances, unit_ball_volume
+
+_SWEEP_BLOCK = 1 << 20  # padded list entries per block of the breakpoint sweep
 
 
 class BooleanModelError(ValueError):
@@ -29,6 +32,11 @@ class BooleanModel:
     A center is censored when its 2R-ball is not fully resolved by the window
     (exits an open box, or wraps more than half a periodic side), so its R is
     only a lower bound.
+
+    min_radius is the own-root (a_min / |B_1|)^(1/d) of the smallest sampled
+    appetite a_min. Every appetite is at least scale * floor and every radius
+    at least its center's own-root, so min_radius(scale, floor, d) <=
+    min_radius <= radii.min().
     """
 
     centers: np.ndarray
@@ -46,23 +54,6 @@ def min_radius(scale: float, floor: float, d: int) -> float:
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
 
 
-def _radius_from_sorted(sorted_d: np.ndarray, sorted_app: np.ndarray, pi_d: float,
-                        d: int) -> float:
-    """First r with cumulative appetite <= ball volume, breakpoints at d_k/2.
-
-    sorted_d[0] must be 0 (the center itself). The last interval is open-ended,
-    so a root always exists.
-    """
-    cum = np.cumsum(sorted_app)
-    starts = sorted_d / 2.0
-    ends = np.append(sorted_d[1:] / 2.0, math.inf)
-    roots = (cum / pi_d) ** (1.0 / d)
-    # Coincident breakpoints give empty intervals; skip them so the sum is
-    # the true closed-ball sum at the returned radius.
-    first = np.argmax((roots < ends) & (starts < ends))
-    return float(np.maximum(starts[first], roots[first]))
-
-
 def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray,
            cap: float = math.inf) -> np.ndarray:
     """Dominating radii of the centers rows, each clipped at cap.
@@ -70,36 +61,74 @@ def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray,
     A radius r <= R depends only on the centers within 2R, so each center
     sweeps the kd-tree neighbour list within 2R. R starts at twice the
     center's own root and doubles until a root lies below R, R reaches cap,
-    or the list holds every center. The tree only selects candidates: the
-    distances are recomputed as in the dense matrix and sorted stably over
-    index-sorted neighbours, so ties and floats match a full-row sweep.
+    or the list holds every center. Each doubling pass sweeps all pending
+    centers at once, in blocks of at most _SWEEP_BLOCK padded list entries.
+    The tree only selects candidates: the distances are recomputed as in the
+    dense matrix and ordered by (distance, index), so ties and floats match
+    a full-row sweep.
     """
     _require_floor(config)
-    centers, appetites = config.centers, config.appetites
     n, d = config.n_centers, domain.dim
     pi_d = unit_ball_volume(d)
-    tree = kd_tree(centers, domain)
-    reach = np.minimum(2.0 * (appetites[rows] / pi_d) ** (1.0 / d), cap)
+    tree = kd_tree(config.centers, domain)
+    reach = np.minimum(2.0 * (config.appetites[rows] / pi_d) ** (1.0 / d), cap)
     out = np.empty(len(rows))
     todo = np.arange(len(rows))
+    # A list holds at most n centers, so a block of step rows pads to at most
+    # _SWEEP_BLOCK entries. Blocks take the rows by descending reach, so that
+    # lists of similar lengths share a block and padding stays small.
+    step = max(1, _SWEEP_BLOCK // max(n, 1))
     while todo.size:
-        lists = tree.query_ball_point(tree.data[rows[todo]], 2.0 * reach[todo] * (1 + 1e-9),
-                                      return_sorted=True)
+        todo = todo[np.argsort(-reach[todo], kind="stable")]
         again = []
-        for k, near in zip(todo, lists):
-            near = np.asarray(near, dtype=np.intp)
-            dist = pairwise_distances(centers[rows[k]], centers[near], domain)[0]
-            keep = dist <= 2.0 * reach[k]
-            dist, near = dist[keep], near[keep]
-            order = np.argsort(dist, kind="stable")
-            r = _radius_from_sorted(dist[order], appetites[near[order]], pi_d, d)
-            if r <= reach[k] or reach[k] >= cap or len(near) == n:
-                out[k] = min(r, cap)
-            else:
-                reach[k] = min(2.0 * reach[k], cap)
-                again.append(k)
-        todo = np.asarray(again, dtype=np.intp)
+        for s in range(0, todo.size, step):
+            k = todo[s:s + step]
+            lists = tree.query_ball_point(tree.data[rows[k]], 2.0 * reach[k] * (1 + 1e-9),
+                                          return_sorted=True)
+            r, count = _sweep(lists, rows[k], 2.0 * reach[k], config, domain, pi_d)
+            done = (r <= reach[k]) | (reach[k] >= cap) | (count == n)
+            out[k[done]] = np.minimum(r[done], cap)
+            again.append(k[~done])
+        todo = np.concatenate(again)
+        reach[todo] = np.minimum(2.0 * reach[todo], cap)
     return out
+
+
+def _sweep(lists, own: np.ndarray, within: np.ndarray, config: PointConfiguration,
+           domain: Domain, pi_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """First root of each center's appetite step function over its list.
+
+    Row i sweeps the centers of the index-sorted lists[i] at distance <=
+    within[i] from center own[i]. A stable row sort of the distances puts
+    them in (distance, index) order; the breakpoints are half distances.
+    Rows are padded to a common width with appetite 0 and distance inf, as
+    are the centers beyond within, so such an entry adds nothing and opens
+    no interval. Returns the radii and the number of centers swept per row.
+    """
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    near = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                       count=int(lengths.sum()))
+    owner = np.repeat(np.arange(len(lists)), lengths)
+    col = np.arange(near.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    dist = paired_distances(config.centers[own[owner]], config.centers[near], domain)
+    keep = dist <= within[owner]
+    sd = np.full((len(lists), int(lengths.max())), np.inf)
+    app = np.zeros(sd.shape)
+    sd[owner, col] = np.where(keep, dist, np.inf)
+    app[owner, col] = np.where(keep, config.appetites[near], 0.0)
+    order = np.argsort(sd, axis=1, kind="stable")
+    sd = np.take_along_axis(sd, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(app, order, axis=1), axis=1)
+    starts = sd / 2.0
+    ends = np.hstack([starts[:, 1:], np.full((len(lists), 1), np.inf)])
+    roots = (cum / pi_d) ** (1.0 / domain.dim)
+    # Coincident breakpoints give empty intervals; skip them so the sum is
+    # the true closed-ball sum at the returned radius. The last center swept
+    # ends at inf, so every row has a root.
+    first = np.argmax((roots < ends) & (starts < ends), axis=1)[:, None]
+    r = np.maximum(np.take_along_axis(starts, first, axis=1),
+                   np.take_along_axis(roots, first, axis=1))[:, 0]
+    return r, np.count_nonzero(np.isfinite(sd), axis=1)
 
 
 def compute_radius(

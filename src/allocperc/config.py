@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .allocation import SiteGrid
@@ -68,7 +69,7 @@ def parse_scale_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad scale grid {text!r}") from exc
-    if step <= 0 or hi < lo:
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
         raise ConfigError(f"bad scale grid {text!r}")
     grid = []
     k = 0
@@ -116,9 +117,12 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
 
     def as_float(key):
         try:
-            return float(merged[key])
+            value = float(merged[key])
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be a number, got {merged[key]!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {merged[key]!r}")
+        return value
 
     version = as_int("config_version")
     if version != CONFIG_VERSION:
@@ -136,6 +140,8 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         sides = sides * d
     if len(sides) != d:
         raise ConfigError(f"got {len(sides)} sides for dimension {d}")
+    if not all(math.isfinite(s) for s in sides):
+        raise ConfigError(f"sides must be finite, got {sides_text!r}")
     boundary = str(merged["boundary"]).strip().lower()
     if boundary not in ("periodic", "open"):
         raise ConfigError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
@@ -169,6 +175,9 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     except (GeometryError, AppetiteConfigError) as exc:
         raise ConfigError(str(exc)) from exc
 
+    seed = as_int("seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     replicas = as_int("replicas")
     if replicas < 1:
         raise ConfigError("replicas must be >= 1")
@@ -184,7 +193,7 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         spacing=spacing,
         replicas=replicas,
         scale_grid=parse_scale_grid(str(merged["scale_grid"])),
-        seed=as_int("seed"),
+        seed=seed,
         workers=workers,
         out_dir=str(merged["out_dir"]),
         raw={k: str(v) for k, v in resolved.items()},

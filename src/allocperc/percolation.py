@@ -22,6 +22,8 @@ from .appetite import AppetiteDistribution
 from .booleanmodel import BooleanModel
 from .geometry import Domain, distance, kd_tree, pairwise_distances
 
+_PAIR_BLOCK = 1 << 20  # center pairs per block of the origin-ball diameter
+
 
 class PercolationError(ValueError):
     pass
@@ -115,8 +117,11 @@ def ball_components(model: BooleanModel, domain: Domain,
         oc = int(labels[np.argmax(covering)])
         sub = np.flatnonzero(labels == oc)
         max_reach = float(np.max(d_origin[sub] + radii[sub]))
-        dd = pairwise_distances(centers[sub], centers[sub], domain)
-        diam = float((dd + radii[sub][:, None] + radii[sub][None, :]).max())
+        # Largest d_ij + r_i + r_j, over row blocks of about _PAIR_BLOCK pairs.
+        step = max(1, _PAIR_BLOCK // sub.size)
+        diam = max(float((pairwise_distances(centers[sub[s:s + step]], centers[sub], domain)
+                          + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
+                   for s in range(0, sub.size, step))
     else:
         oc, max_reach, diam = -1, 0.0, 0.0
     return ClusterReport(
@@ -205,32 +210,26 @@ def _component_diameter(member: np.ndarray, cells: np.ndarray, grid: SiteGrid) -
     """Largest distance between the midpoints of the member cells, plus the
     cell diagonal h*sqrt(d)."""
     diagonal = grid.spacing * math.sqrt(grid.domain.dim)
+    if grid.domain.periodic:
+        # On the torus the member pairs differ by the grid shifts at which
+        # the circular autocorrelation of the cluster's indicator is positive
+        # (it counts the pairs, so it exceeds 0.5 exactly there); a shift's
+        # length is the distance from cell 0 to the cell it reaches.
+        cube = np.zeros(grid.n_cells)
+        cube[member] = 1.0
+        spectrum = np.fft.rfftn(cube.reshape(grid.shape))
+        pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=grid.shape,
+                              axes=range(grid.domain.dim)).ravel() > 0.5
+        return float(pairwise_distances(cells[:1], cells[pairs], grid.domain).max() + diagonal)
     pts = cells[member]
-    if not grid.domain.periodic:
-        # The farthest pair are hull vertices. A face-connected cluster spans
-        # every axis it varies along, so its hull over those axes is
-        # full-dimensional; on one axis the two extremes suffice.
-        span = np.ptp(pts, axis=0) > 0
-        if span.sum() > 1:
-            pts = pts[ConvexHull(pts[:, span]).vertices]
-        elif span.any():
-            pts = pts[[pts[:, span].argmin(), pts[:, span].argmax()]]
-    elif len(pts) > 4000:
-        # Large clusters are measured over their boundary cells, those with a
-        # face-neighbour (across the wrap) outside the cluster.
-        shape = grid.shape
-        cube = np.zeros(grid.n_cells, dtype=bool)
-        cube[member] = True
-        cube = cube.reshape(shape)
-        interior = cube.copy()
-        for ax in range(len(shape)):
-            interior &= np.roll(cube, 1, axis=ax) & np.roll(cube, -1, axis=ax)
-        boundary = (cube & ~interior).ravel()
-        if not boundary.any():
-            # The whole torus: by translation symmetry the farthest midpoint
-            # from any one midpoint gives the diameter.
-            return float(pairwise_distances(pts[:1], pts, grid.domain).max() + diagonal)
-        pts = cells[boundary]
+    # The farthest pair are hull vertices. A face-connected cluster spans
+    # every axis it varies along, so its hull over those axes is
+    # full-dimensional; on one axis the two extremes suffice.
+    span = np.ptp(pts, axis=0) > 0
+    if span.sum() > 1:
+        pts = pts[ConvexHull(pts[:, span]).vertices]
+    elif span.any():
+        pts = pts[[pts[:, span].argmin(), pts[:, span].argmax()]]
     return float(pairwise_distances(pts, pts, grid.domain).max() + diagonal)
 
 

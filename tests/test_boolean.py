@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from allocperc import booleanmodel
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution, sample_appetites
 from allocperc.booleanmodel import (
@@ -182,6 +183,8 @@ def test_build_boolean_floor_bound():
     b = min_radius(0.05, 1.0, 2)
     assert b == pytest.approx((0.05 / math.pi) ** 0.5)
     assert np.all(model.radii >= b - 1e-12)
+    # the model's own-root of the smallest sampled appetite lies between
+    assert b <= model.min_radius <= model.radii.min()
     # equality witnessed by an isolated center
     iso_config, iso_dom = unit_square_config([[10.0, 10.0]], [0.05], sides=(20.0, 20.0))
     assert compute_radius(0, iso_config, iso_dom) == pytest.approx(b, abs=1e-12)
@@ -238,6 +241,60 @@ def test_build_boolean_matches_dense_sweep(seed):
     radii, truncated = dense_boolean(config, dom)
     assert np.array_equal(model.radii, radii)
     assert np.array_equal(model.truncated, truncated)
+
+
+def pareto_instance(seed):
+    """Heavy-tailed appetites on a small box: some radii exceed the window,
+    so their lists end up holding every center, while most stay small."""
+    d = 1 + seed % 3
+    periodic = bool(seed // 3 % 2)
+    rng = replica_rng(seed + 600)
+    sides = rng.uniform(3.0, 7.0, size=d)
+    centers = rng.random((int(rng.integers(30, 120)), d)) * sides
+    appetites = 0.05 * (1.0 + rng.pareto(0.8, size=len(centers)))
+    return PointConfiguration(centers, appetites), Domain(sides=tuple(sides), periodic=periodic)
+
+
+def assert_matches_dense(config, dom, cap):
+    radii, truncated = dense_boolean(config, dom)
+    model = build_boolean(config, dom)
+    assert np.array_equal(model.radii, radii)
+    assert np.array_equal(model.truncated, truncated)
+    capped = booleanmodel._radii(config, dom, np.arange(config.n_centers), cap)
+    assert np.array_equal(capped, np.minimum(radii, cap))
+    for j in (0, config.n_centers - 1):
+        assert compute_radius_truncated(j, config, dom, cap) == min(radii[j], cap)
+    return radii
+
+
+@pytest.mark.parametrize("block", [None, 1, 300])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_kernel_matches_dense_on_heavy_tails(seed, block, monkeypatch):
+    if block is not None:  # a pass then spans many blocks of 1 to 10 rows
+        monkeypatch.setattr(booleanmodel, "_SWEEP_BLOCK", block)
+    config, dom = pareto_instance(seed)
+    cap = float(np.median(dense_boolean(config, dom)[0]))
+    radii = assert_matches_dense(config, dom, cap)
+    far = pairwise_distances(config.centers, config.centers, dom).max(axis=1)
+    assert np.any(2.0 * radii >= far)  # some lists hold every center
+    assert np.any(radii > cap) and np.any(radii < cap)  # some rows exit at the cap
+
+
+@pytest.mark.parametrize("block", [None, 1, 240])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_kernel_matches_dense_on_lattice_ties(seed, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(booleanmodel, "_SWEEP_BLOCK", block)
+    d = 1 + seed % 3
+    periodic = bool(seed // 3 % 2)
+    rng = replica_rng(seed + 700)
+    sides = np.full(d, 6.0)
+    centers = np.floor(rng.random((60, d)) * sides)  # equidistant neighbours everywhere
+    if periodic:
+        centers[0] = sides  # a coordinate equal to the side length wraps to 0
+    # distinct appetites, so the order of equidistant neighbours moves the sums
+    config = PointConfiguration(centers, rng.uniform(0.05, 1.5, size=len(centers)))
+    assert_matches_dense(config, Domain(sides=tuple(sides), periodic=periodic), cap=1.0)
 
 
 def test_open_mode_truncation_flags():

@@ -1,9 +1,12 @@
 import csv
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocperc.cli import EXIT_CONFIG, EXIT_OK, main
 from allocperc.config import ConfigError, parse_config_file, parse_scale_grid, resolve_config
@@ -202,3 +205,34 @@ def test_seed_changes_outputs(cfg_file, tmp_path):
     main(["allocate", "--config", str(cfg_file), "--out", str(out1)])
     main(["allocate", "--config", str(cfg_file), "--out", str(out2), "--seed", "99"])
     assert hash_artifacts(out1) != hash_artifacts(out2)
+
+
+_CONFIG_VALUES = {
+    "dimension": ["1", "2", "3", "0", "2.5"],
+    "sides": ["2", "3,3", "2,2,2", "0", "-1", "inf", "x"],
+    "boundary": ["periodic", "open", "torus"],
+    "intensity": ["0.5", "1.0", "0", "nan"],
+    "family": ["constant", "exponential", "pareto", "lognormal", "bogus"],
+    "pareto_index": ["0.5", "3.5", "-1"],
+    "scale": ["0.05", "0.5", "2", "0", "-1", "nan", "inf"],
+    "floor": ["0", "0.5", "1", "-1", "nan"],
+    "spacing": ["0.5", "1", "0.3", "0", "x"],
+    "replicas": ["1", "2", "0"],
+    "scale_grid": ["0.1:0.5:0.2", "0.5:0.1:0.1", "0:inf:1", "nan:1:0.1", "x"],
+    "seed": ["0", "7", "-1"],
+    "workers": ["1", "2", "0"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["allocate", "boolean", "percolate", "sweep", "bounds"]),
+    st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in _CONFIG_VALUES.items()}),
+)
+def test_main_exits_0_2_or_3_and_never_raises(subcommand, values):
+    # validate reads only seed and workers and runs its own fixed instances;
+    # test_validate_same_on_a_thread_pool covers it.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {"sides": "2", **values}.items()))
+        assert main([subcommand, "--config", str(cfg), "--out", str(Path(tmp) / "r")]) in (0, 2, 3)

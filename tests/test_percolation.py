@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from allocperc import percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
@@ -201,6 +202,61 @@ def test_origin_diameter_of_one_cell(periodic):
     report = mask_components(mask, grid)
     assert report.origin_component == 0
     assert report.diameter == pytest.approx(0.5 * math.sqrt(2), rel=1e-12)
+
+
+def test_periodic_origin_diameter_of_a_torus_with_one_hole():
+    # every cell but one is claimed; the farthest minimum-image pairs lie far
+    # from the hole, so the cells next to it do not give the diameter
+    grid = SiteGrid(domain=Domain(sides=(20.0, 20.0), periodic=True), spacing=0.25)
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[40, 40] = False
+    report = mask_components(mask, grid)
+    assert report.diameter == pytest.approx(10.0 * math.sqrt(2) + 0.25 * math.sqrt(2), rel=1e-12)
+
+
+def torus_all_pairs_diameter(cluster, h):
+    """Largest minimum-image midpoint distance over all pairs of cells of a
+    cluster on a periodic grid, from integer index differences, plus h*sqrt(d)."""
+    idx = np.argwhere(cluster)
+    n = np.asarray(cluster.shape)
+    diff = np.abs(idx[:, None, :] - idx[None, :, :])
+    steps = np.minimum(diff, n - diff) * h
+    return float(np.sqrt((steps ** 2).sum(axis=-1)).max()) + h * math.sqrt(cluster.ndim)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_periodic_origin_diameter_matches_all_pairs(seed):
+    rng = np.random.default_rng(seed + 500)
+    d = 1 + seed % 3
+    shape = rng.integers(2, 12 if d < 3 else 6, size=d)
+    h = 0.5
+    grid = SiteGrid(domain=Domain(sides=tuple(float(m) * h for m in shape), periodic=True),
+                    spacing=h)
+    mask = rng.random(grid.shape) < rng.uniform(0.3, 0.9)
+    mask.flat[0] = True  # the cell holding the origin
+    report = mask_components(mask, grid)
+    cluster = (report.labels == report.origin_component).reshape(grid.shape)
+    assert report.diameter == pytest.approx(torus_all_pairs_diameter(cluster, h), rel=1e-12)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_ball_origin_diameter_in_small_blocks(periodic, monkeypatch):
+    dom = Domain(sides=(12.0, 12.0), periodic=periodic)
+    rng = replica_rng(61)
+    centers = sample_poisson(dom, 1.0, rng, palm=True)  # a ball covers the origin
+    model = make_model(centers, rng.uniform(0.3, 0.9, size=len(centers)))
+    want = ball_components(model, dom)
+    monkeypatch.setattr(percolation, "_PAIR_BLOCK", 7)
+    got = ball_components(model, dom)
+    sub = np.flatnonzero(want.labels == want.origin_component)
+    assert sub.size > 7
+    r = model.radii[sub]
+    delta = np.abs(centers[sub][:, None, :] - centers[sub][None, :, :])
+    if periodic:
+        delta = np.minimum(delta, 12.0 - delta)
+    dd = np.sqrt((delta ** 2).sum(axis=-1))
+    assert want.diameter == pytest.approx(float((dd + r[:, None] + r[None, :]).max()), rel=1e-12)
+    assert got.diameter == want.diameter
 
 
 def test_crossing_event_no_balls():
