@@ -16,8 +16,8 @@ from .appetite import AppetiteDistribution, sample_appetites
 from .geometry import (
     Domain,
     GeometryError,
+    distance,
     kd_tree,
-    paired_distances,
     pairwise_distances,
     replica_rng,
     sample_poisson,
@@ -150,11 +150,13 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     and rejects the rest. Cells rejected everywhere end UNCLAIMED; cells whose
     current and next candidate are equidistant within tolerance end TIE.
 
-    Centers are ranked by (distance, index). Each cell lists its PREF_K
-    nearest centers from a kd-tree; past the certified prefix of that list it
-    jumps straight to the first center that can still take it. The rounds are
-    those of the dense walk over full preference rows, so the result is the
-    same, TIE cells included, and no (cells x centers) array is built.
+    Centers are ranked by (distance, index). A cell's next candidate is the
+    first center after its last rejection that is not full or holds it
+    within its cutoff, taken from the certified prefix of its PREF_K nearest
+    centers (a kd-tree list), or past it by a jump over the centers that can
+    still accept. The rounds are those of the dense walk over full preference
+    rows, so the result is the same, TIE cells included, and no
+    (cells x centers) array is built.
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
@@ -173,16 +175,16 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     cells = grid.cell_centers()
     tree = kd_tree(config.centers, domain)
     nbr, nbr_d, bound = _preference_lists(cells, config.centers, tree, domain)
-    plen = np.count_nonzero(nbr_d < bound[:, None], axis=1)  # certified prefix
+    nbr_d[nbr_d >= bound[:, None]] = np.inf  # past the certified prefix
+    plen = np.count_nonzero(nbr_d < np.inf, axis=1)
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
     tie_tol = TIE_REL_TOL * grid.spacing
 
-    ptr = np.zeros(n_cells, dtype=np.int64)  # list position; plen = past the list
     cand = np.zeros(n_cells, dtype=np.int64)  # current candidate (distance, center)
     dcand = np.zeros(n_cells)
-    lo_d = np.full(n_cells, -np.inf)  # past the list: search keys after this one
+    lo_d = np.full(n_cells, -np.inf)  # last rejection: search keys after this one
     lo_c = np.full(n_cells, -1, dtype=np.int64)
     held = np.zeros(n_cells, dtype=bool)
     decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED or TIE, final
@@ -206,27 +208,13 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         # of such a cell would be skipped, so it is UNCLAIMED now.
         reach = np.max(np.where(full, cutoff, np.inf))
 
-        # Fast-forward past centers certain to reject; full and cutoff are
-        # fixed meanwhile, so a cell past its list jumps to the first center
-        # the walk would stop at.
-        settled, past = [], []
-        work = active
-        while work.size:
-            inside = ptr[work] < plen[work]
-            past.append(work[~inside])
-            work = work[inside]
-            c = nbr[work, ptr[work]]
-            dc = nbr_d[work, ptr[work]]
-            gone = dc > reach
-            exhaust(work[gone])
-            skip = ~gone & full[c] & (dc > cutoff[c])
-            stay = ~gone & ~skip
-            settled.append(work[stay])
-            cand[work[stay]], dcand[work[stay]] = c[stay], dc[stay]
-            work = work[skip]
-            lo_d[work], lo_c[work] = dc[skip], c[skip]
-            ptr[work] += 1
-        past = np.concatenate(past)
+        # Each cell applies to the first center after its last rejection that
+        # would not reject it: from its certified list, else by a jump.
+        col, c, dc = _first_eligible(nbr[active], nbr_d[active], lo_d[active],
+                                     lo_c[active], full, cutoff)
+        listed = col >= 0
+        cand[active[listed]], dcand[active[listed]] = c[listed], dc[listed]
+        past = active[~listed]
         floor = np.maximum(lo_d[past], bound[past])  # no later key is nearer
         exhaust(past[floor > reach])
         keep = floor <= reach
@@ -239,17 +227,16 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             past = past[found]
             cand[past], dcand[past] = c[found], dc[found]
             jumped[past] = True
-            settled.append(past)
-        applicants = np.concatenate(settled)
+        applicants = np.r_[active[listed], past]
 
         # Equidistant next candidate: the cell sits on a territory boundary.
-        p = ptr[applicants]
-        listed = p + 1 < plen[applicants]
+        nxt = np.r_[col[listed] + 1, plen[past]]  # list column after the candidate
+        inside = nxt < plen[applicants]
         tied = np.zeros(applicants.size, dtype=bool)
-        a = applicants[listed]
-        tied[listed] = nbr_d[a, p[listed] + 1] - dcand[a] < tie_tol
-        a = applicants[~listed]
-        tied[~listed] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol,
+        a = applicants[inside]
+        tied[inside] = nbr_d[a, nxt[inside]] - dcand[a] < tie_tol
+        a = applicants[~inside]
+        tied[~inside] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol,
                                         config.centers, domain)
         status[applicants[tied]] = TIE
         decided[applicants[tied]] = True
@@ -269,9 +256,8 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         held[pool[keep]] = True
         held[rej] = False
         lo_d[rej], lo_c[rej] = dcand[rej], cand[rej]
-        ptr[rej] = np.minimum(ptr[rej] + 1, plen[rej])
 
-        # Group sizes / new cutoffs for the fast-forward phase.
+        # Group sizes / new cutoffs for the next round's candidates.
         heads = gc[starts]
         sizes = np.diff(np.r_[starts, pool.size])
         full[heads] = sizes >= quota[heads]
@@ -308,7 +294,7 @@ def _preference_lists(cells: np.ndarray, centers: np.ndarray, tree, domain: Doma
     k = min(PREF_K, len(centers))
     _, nbr = tree.query(cells, k=k)
     nbr = np.sort(nbr.reshape(len(cells), k), axis=1)
-    dist = paired_distances(cells[:, None, :], centers[nbr], domain)
+    dist = distance(cells[:, None, :], centers[nbr], domain)
     order = np.argsort(dist, axis=1, kind="stable")
     nbr = np.take_along_axis(nbr, order, axis=1)
     dist = np.take_along_axis(dist, order, axis=1)
@@ -320,9 +306,27 @@ def _preference_lists(cells: np.ndarray, centers: np.ndarray, tree, domain: Doma
     return nbr, dist, far - 1e-12 * np.maximum(far, 1.0)
 
 
+def _first_eligible(c, d, lo_d, lo_c, full, cutoff):
+    """Over rows of candidate centers c at distances d, each row ordered by
+    (distance, index), the first key after the row's key (lo_d, lo_c) whose
+    center is not full or holds it within its cutoff.
+
+    c may be one row shared by every row of d. Returns (column, center,
+    distance), with column and center -1 and distance inf where none is.
+    """
+    ld, lc = lo_d[:, None], lo_c[:, None]
+    ok = (~full[c] | (d <= cutoff[c])) & ((d > ld) | ((d == ld) & (c > lc)))
+    d = np.where(ok, d, np.inf)
+    j = np.argmin(d, axis=1)  # first of equal distances: the lower index
+    rows = np.arange(len(j))
+    dj = d[rows, j]
+    hit = dj < np.inf
+    return (np.where(hit, j, -1), np.where(hit, np.broadcast_to(c, d.shape)[rows, j], -1),
+            dj)
+
+
 def _jump(pts, lo_d, lo_c, floor, centers, domain, full, cutoff):
-    """For each point, the nearest center by (distance, index) after the key
-    (lo_d, lo_c) that is not full or holds it within its cutoff; -1 if none.
+    """For each point, _first_eligible over every center; -1 if none.
 
     Candidates are the centers not full and the full ones whose cutoff
     reaches floor, which no later key of any point undercuts; they are
@@ -333,19 +337,12 @@ def _jump(pts, lo_d, lo_c, floor, centers, domain, full, cutoff):
     best_d = np.full(len(pts), np.inf)
     if g.size == 0:
         return best_c, best_d
-    open_g, cut_g = ~full[g], cutoff[g]
     step = max(1, _JUMP_BLOCK // g.size)
     for s in range(0, len(pts), step):
         rows = slice(s, s + step)
         d = pairwise_distances(pts[rows], centers[g], domain)
-        ld, lc = lo_d[rows, None], lo_c[rows, None]
-        ok = (open_g | (d <= cut_g)) & ((d > ld) | ((d == ld) & (g > lc)))
-        d[~ok] = np.inf
-        j = np.argmin(d, axis=1)  # first of equal distances: the lower index
-        dj = d[np.arange(len(j)), j]
-        hit = dj < np.inf
-        best_c[rows] = np.where(hit, g[j], -1)
-        best_d[rows] = dj
+        _, best_c[rows], best_d[rows] = _first_eligible(g[None, :], d, lo_d[rows],
+                                                        lo_c[rows], full, cutoff)
     return best_c, best_d
 
 
@@ -369,7 +366,7 @@ def _tied_past_list(tree, pts, d, c, tol, centers, domain):
     lists = tree.query_ball_point(pts[many], hi[many])
     owner = np.repeat(np.arange(many.size), [len(x) for x in lists])
     other = np.concatenate(lists).astype(np.int64)
-    r = paired_distances(pts[many][owner], centers[other], domain)
+    r = distance(pts[many][owner], centers[other], domain)
     dd, cc = d[many][owner], c[many][owner]
     later = (r > dd) | ((r == dd) & (other > cc))
     tied[many] = np.bincount(owner, weights=later & (r - dd < tol),

@@ -87,11 +87,6 @@ class AppetiteDistribution:
         """Inverse CDF of the appetite scale * max(V, floor)."""
         return self.scale * np.maximum(self.base_quantile(u), self.floor)
 
-    @property
-    def min_appetite(self) -> float:
-        """Hard lower bound scale * floor of every sample."""
-        return self.scale * self.floor
-
 
 def sample_appetites(dist: AppetiteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. appetites, shape (n,)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, paired_distances, unit_ball_volume
+from .geometry import Domain, distance, kd_tree, unit_ball_volume
 
 _SWEEP_BLOCK = 1 << 20  # padded list entries per block of the breakpoint sweep
 
@@ -110,7 +110,7 @@ def _sweep(lists, own: np.ndarray, within: np.ndarray, config: PointConfiguratio
                        count=int(lengths.sum()))
     owner = np.repeat(np.arange(len(lists)), lengths)
     col = np.arange(near.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    dist = paired_distances(config.centers[own[owner]], config.centers[near], domain)
+    dist = distance(config.centers[own[owner]], config.centers[near], domain)
     keep = dist <= within[owner]
     sd = np.full((len(lists), int(lengths.max())), np.inf)
     app = np.zeros(sd.shape)

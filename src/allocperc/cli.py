@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import SiteGrid, gale_shapley, phase_diagnostics, sample_replica
+from .allocation import SiteGrid, phase_diagnostics, sample_replica
 from .appetite import moment_report
 from .booleanmodel import BooleanModelError, build_boolean, tail_statistics
 from .bounds import PhaseParams, classify_phase, finiteness_threshold, nagaev_bound, poisson_chernoff
 from .config import ConfigError, ExperimentConfig, parse_config_file, resolve_config
-from .percolation import claimed_components, critical_sweep
+from .percolation import claimed_components, critical_sweep, run_replica
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -86,12 +86,6 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, subcommand: str,
         fh.write("\n")
 
 
-def _replica_allocation(cfg: ExperimentConfig, replica: int):
-    config = sample_replica(cfg.domain, cfg.intensity, cfg.appetite, cfg.seed, replica)
-    grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
-    return config, grid, gale_shapley(config, grid)
-
-
 def _map_replicas(cfg: ExperimentConfig, fn):
     """Run fn(replica) for every replica; order-stable regardless of workers."""
     indices = range(cfg.replicas)
@@ -102,8 +96,10 @@ def _map_replicas(cfg: ExperimentConfig, fn):
 
 
 def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+    grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
+
     def one(rep):
-        config, grid, alloc = _replica_allocation(cfg, rep)
+        alloc, config = run_replica(cfg.domain, grid, cfg.intensity, cfg.appetite, cfg.seed, rep)
         diag = phase_diagnostics(alloc, config, grid)
         raster = alloc.assignment.reshape(grid.shape) if rep == 0 and cfg.domain.dim == 2 else None
         return (rep, config.n_centers, diag.claimed_volume_fraction,
@@ -158,8 +154,10 @@ def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
 
 def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+    grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
+
     def one(rep):
-        config, grid, alloc = _replica_allocation(cfg, rep)
+        alloc, _ = run_replica(cfg.domain, grid, cfg.intensity, cfg.appetite, cfg.seed, rep)
         report = claimed_components(alloc, grid)
         largest = int(report.component_sizes.max()) if report.n_components else 0
         return [rep, report.n_components, largest,

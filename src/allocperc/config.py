@@ -95,10 +95,6 @@ class ExperimentConfig:
     out_dir: str
     raw: dict = field(default_factory=dict)
 
-    @property
-    def scale(self) -> float:
-        return self.appetite.scale
-
 
 def resolve_config(file_values: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Merge defaults, file values, and CLI overrides, then validate."""

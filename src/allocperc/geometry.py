@@ -53,53 +53,36 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def displacement(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
-    """Vector b - a, minimum-image in periodic mode. Broadcasts."""
+def distance(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
+    """Euclidean distances between the broadcast point pairs a[..., :] and
+    b[..., :], minimum-image in periodic mode.
+
+    Accumulates squared per-axis differences to avoid the (..., d) temporary.
+    Every entry takes the same float operations whatever the shapes, so
+    distances to a subset of points equal the matching matrix entries.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != domain.dim or b.shape[-1] != domain.dim:
         raise GeometryError(
             f"dimension mismatch: points {a.shape[-1]}/{b.shape[-1]}d, domain {domain.dim}d"
         )
-    delta = b - a
-    if domain.periodic:
-        sides = np.asarray(domain.sides)
-        delta = delta - sides * np.round(delta / sides)
-    return delta
-
-
-def distance(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
-    """Euclidean distance, minimum-image in periodic mode. Broadcasts."""
-    delta = displacement(a, b, domain)
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    delta = np.empty_like(sq)
+    for ax, L in enumerate(domain.sides):
+        np.abs(np.subtract(a[..., ax], b[..., ax], out=delta), out=delta)
+        if domain.periodic:
+            np.minimum(delta, L - delta, out=delta)
+        delta *= delta
+        sq += delta
+    return np.sqrt(sq, out=sq)
 
 
 def pairwise_distances(points: np.ndarray, others: np.ndarray, domain: Domain) -> np.ndarray:
     """(n, m) distance matrix between two point sets."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     oth = np.atleast_2d(np.asarray(others, dtype=float))
-    if pts.shape[-1] != domain.dim or oth.shape[-1] != domain.dim:
-        raise GeometryError(
-            f"dimension mismatch: points {pts.shape[-1]}/{oth.shape[-1]}d, domain {domain.dim}d"
-        )
-    return paired_distances(pts[:, None, :], oth[None, :, :], domain)
-
-
-def paired_distances(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
-    """Distances between the broadcast point pairs a[..., :] and b[..., :].
-
-    Accumulates squared per-axis differences to avoid the (..., d) temporary.
-    Every entry takes the same float operations whatever the shapes, so
-    distances to a subset of points equal the matching matrix entries.
-    """
-    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    for ax, L in enumerate(domain.sides):
-        delta = np.abs(a[..., ax] - b[..., ax])
-        if domain.periodic:
-            np.minimum(delta, L - delta, out=delta)
-        delta *= delta
-        sq += delta
-    return np.sqrt(sq, out=sq)
+    return distance(pts[:, None, :], oth[None, :, :], domain)
 
 
 def kd_tree(points: np.ndarray, domain: Domain) -> cKDTree:

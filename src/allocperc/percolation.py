@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull
 
 from .allocation import (
     AllocationResult,
@@ -185,7 +184,7 @@ def mask_components(mask: np.ndarray, grid: SiteGrid,
         cells = grid.cell_centers()
         dorig = distance(origin[None, :], cells[member], grid.domain)
         max_reach = float(dorig.max() + grid.spacing * math.sqrt(d) / 2)
-        diam = _component_diameter(member, cells, grid)
+        diam = _component_diameter(member, grid)
     else:
         oc, max_reach, diam = -1, 0.0, 0.0
     return ClusterReport(
@@ -206,31 +205,29 @@ def _containing_cell(point: np.ndarray, grid: SiteGrid) -> int:
     return int(np.ravel_multi_index(ix, shape))
 
 
-def _component_diameter(member: np.ndarray, cells: np.ndarray, grid: SiteGrid) -> float:
+def _component_diameter(member: np.ndarray, grid: SiteGrid) -> float:
     """Largest distance between the midpoints of the member cells, plus the
-    cell diagonal h*sqrt(d)."""
-    diagonal = grid.spacing * math.sqrt(grid.domain.dim)
-    if grid.domain.periodic:
-        # On the torus the member pairs differ by the grid shifts at which
-        # the circular autocorrelation of the cluster's indicator is positive
-        # (it counts the pairs, so it exceeds 0.5 exactly there); a shift's
-        # length is the distance from cell 0 to the cell it reaches.
-        cube = np.zeros(grid.n_cells)
-        cube[member] = 1.0
-        spectrum = np.fft.rfftn(cube.reshape(grid.shape))
-        pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=grid.shape,
-                              axes=range(grid.domain.dim)).ravel() > 0.5
-        return float(pairwise_distances(cells[:1], cells[pairs], grid.domain).max() + diagonal)
-    pts = cells[member]
-    # The farthest pair are hull vertices. A face-connected cluster spans
-    # every axis it varies along, so its hull over those axes is
-    # full-dimensional; on one axis the two extremes suffice.
-    span = np.ptp(pts, axis=0) > 0
-    if span.sum() > 1:
-        pts = pts[ConvexHull(pts[:, span]).vertices]
-    elif span.any():
-        pts = pts[[pts[:, span].argmin(), pts[:, span].argmax()]]
-    return float(pairwise_distances(pts, pts, grid.domain).max() + diagonal)
+    cell diagonal h*sqrt(d).
+
+    On a torus the member pairs differ by the grid shifts at which the
+    circular autocorrelation of the cluster's indicator is positive (it
+    counts the pairs, so it exceeds 0.5 exactly there); a shift's length is
+    the distance from cell 0 to the cell it reaches. An open box is first
+    zero-padded to twice each side: there the circular autocorrelation is
+    the linear one, and a shift shorter than the side is its own minimum
+    image.
+    """
+    pad = 1 if grid.domain.periodic else 2
+    torus = SiteGrid(domain=Domain(tuple(pad * L for L in grid.domain.sides), periodic=True),
+                     spacing=grid.spacing)
+    cube = np.zeros(torus.shape)
+    cube[np.unravel_index(member, grid.shape)] = 1.0
+    spectrum = np.fft.rfftn(cube)
+    pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=torus.shape,
+                          axes=range(grid.domain.dim)).ravel() > 0.5
+    cells = torus.cell_centers()
+    return float(pairwise_distances(cells[:1], cells[pairs], torus.domain).max()
+                 + grid.spacing * math.sqrt(grid.domain.dim))
 
 
 def claimed_components(alloc: AllocationResult, grid: SiteGrid,

@@ -368,12 +368,13 @@ def lattice(dim, side, step, offset=0.0):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@pytest.mark.parametrize("k", [2, 32])
+@pytest.mark.parametrize("k", [1, 2, 32])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("seed", range(3))
 def test_random_instances_match_dense(monkeypatch, k, dim, periodic, seed):
-    # k = 2 sends most cells past their list, k = 32 is the shipped depth
+    # k = 1 leaves every list prefix empty, so each candidate comes from a
+    # jump; k = 2 sends most cells past their list, k = 32 is the shipped depth
     monkeypatch.setattr(allocation, "PREF_K", k)
     side, spacing = {1: (12.0, 0.1), 2: (6.0, 0.25), 3: (3.0, 0.25)}[dim]
     config, grid = random_instance(seed + 40 * dim, periodic=periodic, sides=(side,) * dim,
@@ -382,7 +383,7 @@ def test_random_instances_match_dense(monkeypatch, k, dim, periodic, seed):
     assert_matches_dense(config, grid)
 
 
-@pytest.mark.parametrize("k", [2, 4, 32])
+@pytest.mark.parametrize("k", [1, 2, 4, 32])
 @pytest.mark.parametrize("dim,offset", [(1, 0.25), (2, 0.25), (2, 0.0), (3, 0.25)])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_lattice_ties_match_dense(monkeypatch, k, dim, offset, periodic):
@@ -398,7 +399,7 @@ def test_lattice_ties_match_dense(monkeypatch, k, dim, offset, periodic):
     assert np.any(alloc.assignment == TIE)
 
 
-@pytest.mark.parametrize("k", [2, 32])
+@pytest.mark.parametrize("k", [1, 2, 32])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_duplicated_and_zero_quota_centers_match_dense(monkeypatch, k, periodic):
     monkeypatch.setattr(allocation, "PREF_K", k)
@@ -411,6 +412,22 @@ def test_duplicated_and_zero_quota_centers_match_dense(monkeypatch, k, periodic)
     appetites[::4] = 0.0
     alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
     assert np.all(alloc.territory_volumes[::4] == 0.0)
+
+
+def test_first_eligible_takes_the_next_key_in_distance_index_order():
+    # In gale_shapley an equidistant later center makes the cell TIE before
+    # it can be rejected, so the equal-distance branch of the key order and
+    # the cutoff boundary are pinned here on rows built by hand.
+    full = np.array([True, False, False, True])
+    cutoff = np.array([1.0, np.inf, np.inf, 2.0])
+    c = np.array([[0, 2, 3]] * 4)
+    d = np.array([[1.0, 1.0, 1.5]] * 4)
+    lo_d = np.array([1.0, 1.0, -np.inf, 1.5])
+    lo_c = np.array([0, 2, -1, 3])
+    want = ([1, 2, 0, -1], [2, 3, 0, -1], [1.0, 1.5, 1.0, np.inf])
+    for row in (c, c[:1]):  # per-row lists, and one row shared as in a jump
+        got = allocation._first_eligible(row, d, lo_d, lo_c, full, cutoff)
+        assert [g.tolist() for g in got] == list(want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,6 @@ from allocperc.geometry import (
     Domain,
     GeometryError,
     distance,
-    paired_distances,
     pairwise_distances,
     replica_rng,
     sample_poisson,
@@ -87,7 +86,7 @@ def test_paired_distances_equal_matrix_entries(periodic):
     oth = rng.random((20, 3)) * np.array(dom.sides)
     idx = rng.integers(0, 20, size=(30, 8))
     mat = pairwise_distances(pts, oth, dom)
-    assert np.array_equal(paired_distances(pts[:, None, :], oth[idx], dom),
+    assert np.array_equal(distance(pts[:, None, :], oth[idx], dom),
                           np.take_along_axis(mat, idx, axis=1))
 
 

@@ -214,13 +214,13 @@ def test_periodic_origin_diameter_of_a_torus_with_one_hole():
     assert report.diameter == pytest.approx(10.0 * math.sqrt(2) + 0.25 * math.sqrt(2), rel=1e-12)
 
 
-def torus_all_pairs_diameter(cluster, h):
-    """Largest minimum-image midpoint distance over all pairs of cells of a
-    cluster on a periodic grid, from integer index differences, plus h*sqrt(d)."""
+def all_pairs_diameter(cluster, h, periodic):
+    """Largest midpoint distance (minimum-image on a periodic grid) over all
+    pairs of cells of a cluster, from integer index differences, plus h*sqrt(d)."""
     idx = np.argwhere(cluster)
     n = np.asarray(cluster.shape)
     diff = np.abs(idx[:, None, :] - idx[None, :, :])
-    steps = np.minimum(diff, n - diff) * h
+    steps = (np.minimum(diff, n - diff) if periodic else diff) * h
     return float(np.sqrt((steps ** 2).sum(axis=-1)).max()) + h * math.sqrt(cluster.ndim)
 
 
@@ -230,13 +230,16 @@ def test_periodic_origin_diameter_matches_all_pairs(seed):
     d = 1 + seed % 3
     shape = rng.integers(2, 12 if d < 3 else 6, size=d)
     h = 0.5
-    grid = SiteGrid(domain=Domain(sides=tuple(float(m) * h for m in shape), periodic=True),
-                    spacing=h)
-    mask = rng.random(grid.shape) < rng.uniform(0.3, 0.9)
-    mask.flat[0] = True  # the cell holding the origin
-    report = mask_components(mask, grid)
-    cluster = (report.labels == report.origin_component).reshape(grid.shape)
-    assert report.diameter == pytest.approx(torus_all_pairs_diameter(cluster, h), rel=1e-12)
+    sides = tuple(float(m) * h for m in shape)
+    mask = rng.random(tuple(shape)) < rng.uniform(0.3, 0.9)
+    for periodic in (True, False):
+        grid = SiteGrid(domain=Domain(sides=sides, periodic=periodic), spacing=h)
+        m = mask.copy()
+        m[tuple(0 if periodic else n // 2 for n in shape)] = True  # the cell holding the origin
+        report = mask_components(m, grid)
+        cluster = (report.labels == report.origin_component).reshape(grid.shape)
+        assert report.diameter == pytest.approx(all_pairs_diameter(cluster, h, periodic),
+                                                rel=1e-12)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
