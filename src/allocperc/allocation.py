@@ -137,9 +137,10 @@ class AllocationResult:
 
 
 def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
-    """Appetite volume converted to a cell count, rounding the last cell up."""
+    """Appetite volume converted to a cell count, rounding the last cell up;
+    capped at 2^62, past any grid, so a huge appetite is never filled."""
     q = np.ceil(np.asarray(appetites) / cell_volume - 1e-9)
-    return np.maximum(q, 0).astype(np.int64)
+    return np.clip(q, 0, 2.0 ** 62).astype(np.int64)
 
 
 def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult:

@@ -98,9 +98,8 @@ def sample_appetite(dist: AppetiteDistribution, rng: np.random.Generator) -> flo
 
 
 def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
-    """E[max(V, floor)^order] of the base variable by quadrature in u-space."""
-    if dist.family == "constant":
-        return max(dist.params["value"], dist.floor) ** order
+    """E[max(V, floor)^order] of the base variable by quadrature in u-space;
+    inf when the moment or its integrand leaves the float range."""
 
     def integrand(u):
         return float(np.maximum(dist.base_quantile(u), dist.floor)) ** order
@@ -110,8 +109,12 @@ def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
         u_star = _base_cdf(dist, dist.floor)
         if 0.0 < u_star < 1.0:
             points.append(u_star)
-    val, _ = integrate.quad(integrand, 0.0, 1.0, points=points or None, limit=200)
-    return val
+    try:
+        if dist.family == "constant":
+            return max(dist.params["value"], dist.floor) ** order
+        return integrate.quad(integrand, 0.0, 1.0, points=points or None, limit=200)[0]
+    except OverflowError:
+        return math.inf
 
 
 def _base_cdf(dist: AppetiteDistribution, v: float) -> float:
@@ -157,4 +160,6 @@ def moment_report(dist: AppetiteDistribution) -> MomentReport:
     mean = _truncated_moment(dist, 1.0)
     m2 = _truncated_moment(dist, 2.0)
     upper = _truncated_moment(dist, order)
+    if not math.isfinite(upper):
+        return MomentReport(mean=mean, variance=math.inf, upper_moment=math.inf, finite=False)
     return MomentReport(mean=mean, variance=max(m2 - mean * mean, 0.0), upper_moment=upper, finite=True)

@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .appetite import moment_report
 from .booleanmodel import BooleanModelError, build_boolean, tail_statistics
 from .bounds import PhaseParams, classify_phase, finiteness_threshold, nagaev_bound, poisson_chernoff
 from .config import ConfigError, ExperimentConfig, parse_config_file, resolve_config
-from .percolation import claimed_components, critical_sweep, run_replica
+from .percolation import claimed_components, critical_sweep, map_ordered, run_replica
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -86,15 +85,6 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, subcommand: str,
         fh.write("\n")
 
 
-def _map_replicas(cfg: ExperimentConfig, fn):
-    """Run fn(replica) for every replica; order-stable regardless of workers."""
-    indices = range(cfg.replicas)
-    if cfg.workers == 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(fn, indices))
-
-
 def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
 
@@ -105,7 +95,7 @@ def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         return (rep, config.n_centers, diag.claimed_volume_fraction,
                 diag.fraction_sated, diag.unclaimed_volume), raster, alloc.counters
 
-    results = _map_replicas(cfg, one)
+    results = map_ordered(one, range(cfg.replicas), cfg.workers)
     rows = [list(r[0]) for r in results]
     _write_csv(out / "allocation.csv",
                ["replica", "n_centers", "claimed_fraction", "fraction_sated", "unclaimed_volume"],
@@ -119,16 +109,16 @@ def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
 
 def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
-    if cfg.appetite.floor <= 0:
+    if cfg.appetite.floor <= 0 or cfg.appetite.scale <= 0:
         raise ConfigError(
-            "boolean model needs a positive appetite floor; set floor > 0"
+            "boolean model needs positive appetites; set floor > 0 and scale > 0"
         )
 
     def one(rep):
         config = sample_replica(cfg.domain, cfg.intensity, cfg.appetite, cfg.seed, rep)
         return rep, build_boolean(config, cfg.domain)
 
-    results = _map_replicas(cfg, one)
+    results = map_ordered(one, range(cfg.replicas), cfg.workers)
     rows = []
     for rep, model in results:
         for i in range(model.n_balls):
@@ -164,7 +154,7 @@ def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
                 int(report.percolates), report.origin_component,
                 f"{report.max_origin_distance:.12g}", f"{report.diameter:.12g}"]
 
-    rows = _map_replicas(cfg, one)
+    rows = map_ordered(one, range(cfg.replicas), cfg.workers)
     _write_csv(out / "components.csv",
                ["replica", "n_components", "largest_size", "crossing",
                 "origin_component", "origin_reach", "origin_diameter"],
@@ -174,13 +164,11 @@ def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
-    if cfg.workers > 1:
-        raise ConfigError("sweep runs its coupled replicas serially; set workers = 1")
     if cfg.domain.periodic:
         raise ConfigError("sweep detects box crossings; set boundary = open")
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
     result = critical_sweep(cfg.domain, grid, cfg.intensity, cfg.appetite,
-                            cfg.scale_grid, cfg.replicas, cfg.seed)
+                            cfg.scale_grid, cfg.replicas, cfg.seed, cfg.workers)
     _write_csv(
         out / "sweep.csv",
         ["scale", "crossing_probability", "ci_low", "ci_high", "mean_claimed_fraction"],

@@ -104,6 +104,11 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
 
 
+def palm_origin(domain: Domain) -> np.ndarray:
+    """Reference origin: the box center in open mode, the corner on a torus."""
+    return np.zeros(domain.dim) if domain.periodic else np.asarray(domain.sides) / 2.0
+
+
 def sample_poisson(
     domain: Domain,
     intensity: float,
@@ -112,14 +117,12 @@ def sample_poisson(
 ) -> np.ndarray:
     """Homogeneous Poisson sample in the domain, shape (n, d).
 
-    With palm=True one extra point is placed at the origin (box center in
-    open mode, corner in periodic mode, equivalent up to translation).
+    With palm=True one extra point is placed first, at palm_origin(domain).
     """
     if intensity < 0:
         raise GeometryError(f"intensity must be nonnegative, got {intensity}")
     n = rng.poisson(intensity * domain.volume)
     pts = rng.random((n, domain.dim)) * np.asarray(domain.sides)
     if palm:
-        origin = np.zeros(domain.dim) if domain.periodic else np.asarray(domain.sides) / 2.0
-        pts = np.vstack([origin[None, :], pts])
+        pts = np.vstack([palm_origin(domain)[None, :], pts])
     return pts

@@ -4,6 +4,7 @@ origin-cluster statistics, and the critical-scale sweep."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .allocation import (
 )
 from .appetite import AppetiteDistribution
 from .booleanmodel import BooleanModel
-from .geometry import Domain, distance, kd_tree, pairwise_distances
+from .geometry import Domain, distance, kd_tree, pairwise_distances, palm_origin
 
 _PAIR_BLOCK = 1 << 20  # center pairs per block of the origin-ball diameter
 
@@ -55,10 +56,6 @@ class ClusterReport:
         return bool(self.crossing_axes.any())
 
 
-def _palm_origin(domain: Domain) -> np.ndarray:
-    return np.zeros(domain.dim) if domain.periodic else np.asarray(domain.sides) / 2.0
-
-
 def _empty_report(labels: np.ndarray, d: int) -> ClusterReport:
     return ClusterReport(
         labels=labels,
@@ -87,15 +84,12 @@ def _crossing(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
                      for ax in range(lo.shape[1])], axis=1)
 
 
-def ball_components(model: BooleanModel, domain: Domain,
-                    origin: np.ndarray | None = None) -> ClusterReport:
+def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     """Overlap components of the balls; tangency does not connect."""
     radii = np.asarray(model.radii)
     if np.any(~np.isfinite(radii)):
         raise PercolationError("infinite radius in model")
     centers = model.centers
-    if origin is None:
-        origin = _palm_origin(domain)
     if model.n_balls == 0:
         return _empty_report(np.zeros(0, dtype=np.int64), domain.dim)
     # The tree only proposes pairs; overlap is decided on the recomputed distance.
@@ -110,7 +104,7 @@ def ball_components(model: BooleanModel, domain: Domain,
         r = radii[:, None]
         crossing = _crossing(labels, centers - r <= 0.0, centers + r >= np.asarray(domain.sides))
 
-    d_origin = distance(origin[None, :], centers, domain)
+    d_origin = distance(palm_origin(domain)[None, :], centers, domain)
     covering = d_origin < radii
     if np.any(covering):
         oc = int(labels[np.argmax(covering)])
@@ -149,8 +143,7 @@ def _grid_neighbors(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
     return np.concatenate(edges, axis=0)
 
 
-def mask_components(mask: np.ndarray, grid: SiteGrid,
-                    origin: np.ndarray | None = None) -> ClusterReport:
+def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     """Face-adjacency components of a boolean cell mask over the grid."""
     shape = grid.shape
     flat = np.asarray(mask, dtype=bool).ravel()
@@ -175,8 +168,7 @@ def mask_components(mask: np.ndarray, grid: SiteGrid,
         multi = np.stack(np.unravel_index(on, shape), axis=1)
         crossing = _crossing(sub_labels, multi == 0, multi == np.asarray(shape) - 1)
 
-    if origin is None:
-        origin = _palm_origin(grid.domain)
+    origin = palm_origin(grid.domain)
     origin_flat = _containing_cell(origin, grid)
     if flat[origin_flat]:
         oc = int(labels[origin_flat])
@@ -230,10 +222,9 @@ def _component_diameter(member: np.ndarray, grid: SiteGrid) -> float:
                  + grid.spacing * math.sqrt(grid.domain.dim))
 
 
-def claimed_components(alloc: AllocationResult, grid: SiteGrid,
-                       origin: np.ndarray | None = None) -> ClusterReport:
+def claimed_components(alloc: AllocationResult, grid: SiteGrid) -> ClusterReport:
     """Components of the claimed set under face adjacency."""
-    return mask_components(alloc.claimed_mask.reshape(grid.shape), grid, origin=origin)
+    return mask_components(alloc.claimed_mask.reshape(grid.shape), grid)
 
 
 def crossing_event(model: BooleanModel, domain: Domain, x: np.ndarray,
@@ -301,28 +292,42 @@ def run_replica(domain: Domain, grid: SiteGrid, intensity: float,
     return gale_shapley(config, grid), config
 
 
+def map_ordered(fn, items, workers: int = 1) -> list:
+    """[fn(x) for x in items], on `workers` threads when workers > 1; the
+    results keep the order of the items."""
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def critical_sweep(domain: Domain, grid: SiteGrid, intensity: float,
                    base_dist: AppetiteDistribution, scale_grid, replicas: int,
-                   seed: int) -> SweepResult:
+                   seed: int, workers: int = 1) -> SweepResult:
     """Crossing probability of the claimed set along an ascending scale grid.
 
     Replica randomness is shared across scales, so the per-replica crossing
-    indicator is pathwise monotone in the scale.
+    indicator is pathwise monotone in the scale. A replica's whole ladder is
+    one task of the worker map.
     """
     scale_grid = [float(a) for a in scale_grid]
     if sorted(scale_grid) != scale_grid:
         raise PercolationError("scale grid must be ascending")
     if domain.periodic:
         raise PercolationError("crossing detection needs an open (non-periodic) box")
-    indicators = np.zeros((len(scale_grid), replicas), dtype=bool)
-    fractions = np.zeros((len(scale_grid), replicas))
-    for ai, a in enumerate(scale_grid):
-        dist = replace(base_dist, scale=a)
-        for rep in range(replicas):
-            alloc, config = run_replica(domain, grid, intensity, dist, seed, rep)
-            report = claimed_components(alloc, grid)
-            indicators[ai, rep] = report.percolates
-            fractions[ai, rep] = phase_diagnostics(alloc, config, grid).claimed_volume_fraction
+
+    def ladder(rep: int) -> list[tuple[bool, float]]:
+        runs = (run_replica(domain, grid, intensity, replace(base_dist, scale=a), seed, rep)
+                for a in scale_grid)
+        return [(claimed_components(alloc, grid).percolates,
+                 phase_diagnostics(alloc, config, grid).claimed_volume_fraction)
+                for alloc, config in runs]
+
+    # (n_scales, replicas, 2): crossing flag and claimed fraction
+    table = np.array(map_ordered(ladder, range(replicas), workers),
+                     dtype=float).reshape(replicas, len(scale_grid), 2).transpose(1, 0, 2)
+    indicators = table[..., 0].astype(bool)
+    fractions = np.ascontiguousarray(table[..., 1])
     rows = []
     for ai, a in enumerate(scale_grid):
         succ = int(indicators[ai].sum())

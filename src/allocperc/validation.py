@@ -7,7 +7,6 @@ oracle (bisection, BFS, exact summation) on randomized instances.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from .appetite import AppetiteDistribution, sample_appetites
 from .booleanmodel import build_boolean, check_domination, compute_radius
 from .bounds import poisson_chernoff
 from .geometry import Domain, distance, replica_rng, sample_poisson, unit_ball_volume
-from .percolation import ball_components, mask_components
+from .percolation import ball_components, map_ordered, mask_components
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def exact_poisson_tail(mean: float, threshold: int) -> float:
     return max(0.0, 1.0 - acc)
 
 
-def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     """Do two label vectors induce the same partition?"""
     pairs = set(zip(a.tolist(), b.tolist()))
     return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
@@ -230,7 +229,7 @@ def _check_ball_components(seed: int) -> CheckResult:
                              truncated=np.zeros(len(radii), dtype=bool))
         fast = ball_components(model, domain).labels
         slow = bfs_ball_components_oracle(centers, radii, domain)
-        if not _same_partition(fast, slow):
+        if not same_partition(fast, slow):
             fails += 1
     return CheckResult("ball_components_vs_bfs", n_inst, fails)
 
@@ -247,7 +246,7 @@ def _check_mask_components(seed: int) -> CheckResult:
         fast = mask_components(mask, grid).labels.reshape(grid.shape)
         slow = floodfill_mask_oracle(mask, domain.periodic)
         on = mask.ravel()
-        if not _same_partition(fast.ravel()[on], slow.ravel()[on]):
+        if not same_partition(fast.ravel()[on], slow.ravel()[on]):
             fails += 1
     return CheckResult("mask_components_vs_floodfill", n_inst, fails)
 
@@ -274,7 +273,4 @@ _CHECKS = (_check_stability, _check_radius_sweep, _check_monotone_in_scale,
 def run_validation(seed: int, workers: int = 1) -> list[CheckResult]:
     """Every check, in a fixed order. Each check draws from its own seeded
     streams, so running them on a thread pool changes no result."""
-    if workers == 1:
-        return [check(seed) for check in _CHECKS]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda check: check(seed), _CHECKS))
+    return map_ordered(lambda check: check(seed), _CHECKS, workers)

@@ -31,6 +31,7 @@ from allocperc.bounds import finiteness_threshold, nagaev_bound, poisson_chernof
 from allocperc.cli import EXIT_OK, main
 from allocperc.geometry import Domain, distance, replica_rng, sample_poisson, unit_ball_volume
 from allocperc.percolation import claimed_components, mask_components
+from allocperc.validation import bisection_radius_oracle, exact_poisson_tail
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -175,33 +176,6 @@ def test_criterion_5_domination():
 
 # --- criterion 6: radius sweep vs bisection oracle, 1000 instances -----------
 
-def _bisection_oracle(center_index, config, domain, tol=1e-12):
-    d = domain.dim
-    pi_d = unit_ball_volume(d)
-    me = config.centers[center_index]
-    dists = distance(me[None, :], config.centers, domain)
-
-    def gap(r):
-        return pi_d * r ** d - config.appetites[dists <= 2.0 * r].sum()
-
-    breaks = np.unique(dists / 2.0)
-    edges = list(breaks) + [max(breaks[-1] * 2 + 1.0, 1.0)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if gap(lo) >= 0:
-            return float(lo)
-        if gap(hi - tol) < 0:
-            continue
-        a, b = lo, hi - tol
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            if gap(m) >= 0:
-                b = m
-            else:
-                a = m
-        return float(b)
-    return float((config.appetites.sum() / pi_d) ** (1.0 / d))
-
-
 def test_criterion_6_radius_sweep_vs_oracle():
     worst = 0.0
     checked = 0
@@ -216,7 +190,7 @@ def test_criterion_6_radius_sweep_vs_oracle():
         config = PointConfiguration(centers, appetites)
         j = int(rng.integers(len(centers)))
         worst = max(worst, abs(compute_radius(j, config, dom)
-                               - _bisection_oracle(j, config, dom)))
+                               - bisection_radius_oracle(j, config, dom)))
         checked += 1
     # minimum-radius equality witnessed by an isolated center
     dom = Domain(sides=(20.0, 20.0), periodic=True)
@@ -255,15 +229,6 @@ def test_criterion_7_locality():
 
 # --- criterion 8: bounds dominate their oracles ------------------------------
 
-def _exact_poisson_tail(mean, threshold):
-    k, term, acc = 0, math.exp(-mean), 0.0
-    while k < threshold:
-        acc += term
-        k += 1
-        term *= mean / k
-    return max(0.0, 1.0 - acc)
-
-
 def _empirical_tail(sampler, n, x, total=1_000_000, batch=50_000, seed=0):
     hits = 0
     done = 0
@@ -283,7 +248,7 @@ def _empirical_tail(sampler, n, x, total=1_000_000, batch=50_000, seed=0):
 def test_criterion_8_bounds_dominate():
     chern_ok = all(
         poisson_chernoff(mean, mean * ratio)
-        >= _exact_poisson_tail(mean, math.ceil(mean * ratio)) - 1e-12
+        >= exact_poisson_tail(mean, math.ceil(mean * ratio)) - 1e-12
         for mean in (1.0, 5.0, 10.0, 50.0)
         for ratio in (1.1, 1.5, 2.0, 5.0)
     )

@@ -24,37 +24,7 @@ from allocperc.geometry import (
     sample_poisson,
     unit_ball_volume,
 )
-
-
-def bisection_oracle(center_index, config, domain, tol=1e-12):
-    """First radius balancing ball volume against the in-range appetite sum.
-
-    Interval scan with direct brute-force sums; independent of the sweep.
-    """
-    d = domain.dim
-    pi_d = unit_ball_volume(d)
-    me = config.centers[center_index]
-    dists = distance(me[None, :], config.centers, domain)
-
-    def gap(r):
-        return pi_d * r ** d - config.appetites[dists <= 2.0 * r].sum()
-
-    breaks = np.unique(dists / 2.0)
-    edges = list(breaks) + [max(breaks[-1] * 2 + 1.0, 1.0)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if gap(lo) >= 0:
-            return float(lo)
-        if gap(hi - tol) < 0:
-            continue
-        a, b = lo, hi - tol
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            if gap(m) >= 0:
-                b = m
-            else:
-                a = m
-        return float(b)
-    return float((config.appetites.sum() / pi_d) ** (1.0 / d))
+from allocperc.validation import bisection_radius_oracle
 
 
 def unit_square_config(points, appetites, sides=(10.0, 10.0), periodic=True):
@@ -82,7 +52,7 @@ def test_two_centers_match_bisection_oracle():
     config, dom = unit_square_config([[4.5], [5.5]], [0.3, 0.3], sides=(10.0,))
     for j in (0, 1):
         fast = compute_radius(j, config, dom)
-        slow = bisection_oracle(j, config, dom)
+        slow = bisection_radius_oracle(j, config, dom)
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
@@ -97,7 +67,7 @@ def test_sweep_vs_oracle_random(seed):
     config = PointConfiguration(centers, appetites)
     j = int(rng.integers(len(centers)))
     assert compute_radius(j, config, dom) == pytest.approx(
-        bisection_oracle(j, config, dom), abs=1e-9
+        bisection_radius_oracle(j, config, dom), abs=1e-9
     )
 
 

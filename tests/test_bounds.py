@@ -12,18 +12,7 @@ from allocperc.bounds import (
     poisson_chernoff,
 )
 from allocperc.geometry import replica_rng
-
-
-def exact_poisson_tail(mean, threshold):
-    """P[N >= threshold] by direct summation."""
-    k = 0
-    term = math.exp(-mean)
-    acc = 0.0
-    while k < threshold:
-        acc += term
-        k += 1
-        term *= mean / k
-    return max(0.0, 1.0 - acc)
+from allocperc.validation import exact_poisson_tail
 
 
 def test_nagaev_leading_constant():

@@ -105,6 +105,7 @@ def test_boolean_outputs(tmp_path):
     ("allocate", "sides = 10,10\nspacing = 0.3\n"),  # the spacing does not tile the box
     ("allocate", "scale = -1\n"),
     ("boolean", "sides = 2,2\nboundary = open\nfloor = 1\nscale = 5\n"),  # all censored
+    ("boolean", "scale = 0\nfloor = 0.5\n"),  # zero appetites have no dominating radius
 ])
 def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -136,16 +137,6 @@ def test_percolate_outputs(cfg_file, tmp_path):
 def test_sweep_needs_open_box(cfg_file, tmp_path):
     code = main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
-
-
-def test_sweep_rejects_workers(tmp_path, capsys):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(BASE_CFG.replace("boundary = periodic", "boundary = open"))
-    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r"),
-                 "--workers", "2"])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def test_validate_same_on_a_thread_pool(cfg_file, tmp_path):
@@ -191,13 +182,40 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_allocate_deterministic_across_workers(cfg_file, tmp_path):
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    assert main(["allocate", "--config", str(cfg_file), "--out", str(out1),
-                 "--workers", "1"]) == EXIT_OK
-    assert main(["allocate", "--config", str(cfg_file), "--out", str(out2),
-                 "--workers", "4"]) == EXIT_OK
-    assert hash_artifacts(out1) == hash_artifacts(out2)
+@pytest.mark.parametrize("subcommand, extra, args", [
+    ("allocate", "", []),
+    ("boolean", "floor = 1.0\nscale = 0.1\n", []),
+    ("percolate", "", []),
+    ("sweep", "boundary = open\n", ["--scale-grid", "0.05:1.25:0.3", "--replicas", "4"]),
+], ids=["allocate", "boolean", "percolate", "sweep"])
+def test_deterministic_across_workers(subcommand, extra, args, tmp_path):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(BASE_CFG + extra)
+    runs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"w{workers}"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                     "--workers", workers, *args]) == EXIT_OK
+        runs.append(hash_artifacts(out))
+    assert runs[0] == runs[1] and runs[0]
+
+
+_OVERFLOWING = {
+    "pareto-0.05": "family = pareto\npareto_index = 0.05\n",
+    "exponential-1e200": "family = exponential\nmean = 1e200\n",
+    "constant-1e309": "family = constant\nvalue = 1e308\nscale = 10\n",
+    "lognormal-1000": "family = lognormal\nlognormal_sigma = 1000\n",
+}
+
+
+@pytest.mark.parametrize("extra", _OVERFLOWING.values(), ids=_OVERFLOWING.keys())
+@pytest.mark.parametrize("subcommand", ["allocate", "percolate", "sweep", "bounds"])
+def test_overflowing_appetites_exit_0(subcommand, extra, tmp_path):
+    # appetites or moments beyond the int64 and float ranges
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(BASE_CFG + "sides = 4,4\nboundary = open\n" + extra)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--scale-grid", "0.2:1.0:0.4"]) == EXIT_OK
 
 
 def test_seed_changes_outputs(cfg_file, tmp_path):

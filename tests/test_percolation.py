@@ -7,7 +7,7 @@ from allocperc import percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
-from allocperc.geometry import Domain, distance, replica_rng, sample_poisson
+from allocperc.geometry import Domain, replica_rng, sample_poisson
 from allocperc.percolation import (
     PercolationError,
     ball_components,
@@ -16,6 +16,11 @@ from allocperc.percolation import (
     crossing_event,
     mask_components,
     run_replica,
+)
+from allocperc.validation import (
+    bfs_ball_components_oracle,
+    floodfill_mask_oracle,
+    same_partition,
 )
 
 
@@ -28,31 +33,6 @@ def make_model(centers, radii):
         min_radius=float(radii.min()) if len(radii) else 0.0,
         truncated=np.zeros(len(radii), dtype=bool),
     )
-
-
-def bfs_labels(centers, radii, domain):
-    """Plain BFS over the overlap graph; oracle for the csgraph path."""
-    n = len(radii)
-    labels = -np.ones(n, dtype=int)
-    nxt = 0
-    for s in range(n):
-        if labels[s] >= 0:
-            continue
-        stack = [s]
-        labels[s] = nxt
-        while stack:
-            i = stack.pop()
-            di = distance(centers[i][None, :], centers, domain)
-            for j in np.flatnonzero((di < radii[i] + radii) & (labels < 0)):
-                labels[j] = nxt
-                stack.append(int(j))
-        nxt += 1
-    return labels
-
-
-def same_partition(a, b):
-    pairs = set(zip(a.tolist(), b.tolist()))
-    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
 def test_collinear_chain_is_one_component():
@@ -85,7 +65,7 @@ def test_ball_components_match_bfs(seed):
         pytest.skip("empty draw")
     radii = rng.uniform(0.1, 0.7, size=len(centers))
     report = ball_components(make_model(centers, radii), dom)
-    assert same_partition(report.labels, bfs_labels(centers, radii, dom))
+    assert same_partition(report.labels, bfs_ball_components_oracle(centers, radii, dom))
 
 
 def test_origin_cluster_statistics():
@@ -111,40 +91,13 @@ def test_grid_all_and_none_claimed():
     assert not empty.percolates
 
 
-def floodfill(mask, periodic):
-    shape = mask.shape
-    labels = -np.ones(shape, dtype=int)
-    nxt = 0
-    for start in map(tuple, np.argwhere(mask)):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = nxt
-        while stack:
-            cell = stack.pop()
-            for ax in range(len(shape)):
-                for step in (-1, 1):
-                    nb = list(cell)
-                    nb[ax] += step
-                    if periodic:
-                        nb[ax] %= shape[ax]
-                    elif not (0 <= nb[ax] < shape[ax]):
-                        continue
-                    nb = tuple(nb)
-                    if mask[nb] and labels[nb] < 0:
-                        labels[nb] = nxt
-                        stack.append(nb)
-        nxt += 1
-    return labels
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_mask_components_match_floodfill(seed):
     dom = Domain(sides=(8.0, 8.0), periodic=bool(seed % 2))
     grid = SiteGrid(domain=dom, spacing=0.25)
     mask = replica_rng(seed + 50).random(grid.shape) < 0.55
     fast = mask_components(mask, grid).labels.reshape(grid.shape)
-    slow = floodfill(mask, dom.periodic)
+    slow = floodfill_mask_oracle(mask, dom.periodic)
     on = mask.ravel()
     assert same_partition(fast.ravel()[on], slow.ravel()[on])
 
