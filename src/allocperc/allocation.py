@@ -18,6 +18,7 @@ from .geometry import (
     GeometryError,
     distance,
     kd_tree,
+    nearest,
     pairwise_distances,
     replica_rng,
     sample_poisson,
@@ -139,7 +140,8 @@ class AllocationResult:
 def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
     """Appetite volume converted to a cell count, rounding the last cell up;
     capped at 2^62, past any grid, so a huge appetite is never filled."""
-    q = np.ceil(np.asarray(appetites) / cell_volume - 1e-9)
+    with np.errstate(over="ignore"):
+        q = np.ceil(np.asarray(appetites) / cell_volume - 1e-9)
     return np.clip(q, 0, 2.0 ** 62).astype(np.int64)
 
 
@@ -175,7 +177,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     domain = grid.domain
     cells = grid.cell_centers()
     tree = kd_tree(config.centers, domain)
-    nbr, nbr_d, bound = _preference_lists(cells, config.centers, tree, domain)
+    nbr, nbr_d, bound = nearest(tree, cells, PREF_K, config.centers, domain)
     nbr_d[nbr_d >= bound[:, None]] = np.inf  # past the certified prefix
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
 
@@ -282,29 +284,6 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         grid_shape=grid.shape,
         counters={"rounds": rounds, "beyond_list": int(np.count_nonzero(jumped))},
     )
-
-
-def _preference_lists(cells: np.ndarray, centers: np.ndarray, tree, domain: Domain):
-    """Each cell's PREF_K nearest centers in (distance, index) order, their
-    distances, and the bound below which the list holds every center.
-
-    The tree only selects neighbours; distances are recomputed as in
-    pairwise_distances and sorted stably over index-sorted neighbours, so a
-    row matches the start of the dense preference row up to the bound.
-    """
-    k = min(PREF_K, len(centers))
-    _, nbr = tree.query(cells, k=k)
-    nbr = np.sort(nbr.reshape(len(cells), k), axis=1)
-    dist = distance(cells[:, None, :], centers[nbr], domain)
-    order = np.argsort(dist, axis=1, kind="stable")
-    nbr = np.take_along_axis(nbr, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    if k == len(centers):
-        return nbr, dist, np.full(len(cells), np.inf)
-    # Tree and recomputed distances differ by rounding only, so a center
-    # missing from a list is no nearer than its farthest entry less 1e-12.
-    far = dist[:, -1]
-    return nbr, dist, far - 1e-12 * np.maximum(far, 1.0)
 
 
 def _first_eligible(c, d, lo_d, lo_c, full, cutoff):

@@ -70,22 +70,26 @@ class AppetiteDistribution:
             ) from exc
 
     def base_quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF of the base variable V at u in (0, 1)."""
+        """Inverse CDF of the base variable V at u in (0, 1); inf past the
+        float range."""
         u = np.asarray(u, dtype=float)
         p = self.params
-        if self.family == "constant":
-            return np.full_like(u, float(p["value"]))
-        if self.family == "exponential":
-            return -p["mean"] * np.log1p(-u)
-        if self.family == "pareto":
-            return p["scale"] * (1.0 - u) ** (-1.0 / p["index"])
-        if self.family == "lognormal":
-            return np.exp(p["mu"] + p["sigma"] * ndtri(u))
+        with np.errstate(over="ignore"):
+            if self.family == "constant":
+                return np.full_like(u, float(p["value"]))
+            if self.family == "exponential":
+                return -p["mean"] * np.log1p(-u)
+            if self.family == "pareto":
+                return p["scale"] * (1.0 - u) ** (-1.0 / p["index"])
+            if self.family == "lognormal":
+                return np.exp(p["mu"] + p["sigma"] * ndtri(u))
         raise AssertionError(self.family)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF of the appetite scale * max(V, floor)."""
-        return self.scale * np.maximum(self.base_quantile(u), self.floor)
+        """Inverse CDF of the appetite scale * max(V, floor); inf past the
+        float range."""
+        with np.errstate(over="ignore"):
+            return self.scale * np.maximum(self.base_quantile(u), self.floor)
 
 
 def sample_appetites(dist: AppetiteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,16 +9,15 @@ is below the finiteness threshold.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, unit_ball_volume
+from .geometry import Domain, distance, kd_tree, nearest, unit_ball_volume
 
-_SWEEP_BLOCK = 1 << 20  # padded list entries per block of the breakpoint sweep
+_SWEEP_BLOCK = 1 << 20  # row entries per block of the breakpoint sweep
 
 
 class BooleanModelError(ValueError):
@@ -54,81 +53,62 @@ def min_radius(scale: float, floor: float, d: int) -> float:
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
 
 
-def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray,
-           cap: float = math.inf) -> np.ndarray:
-    """Dominating radii of the centers rows, each clipped at cap.
+def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray) -> np.ndarray:
+    """Dominating radii of the centers rows.
 
-    A radius r <= R depends only on the centers within 2R, so each center
-    sweeps the kd-tree neighbour list within 2R. R starts at twice the
-    center's own root and doubles until a root lies below R, R reaches cap,
-    or the list holds every center. Each doubling pass sweeps all pending
-    centers at once, in blocks of at most _SWEEP_BLOCK padded list entries.
-    The tree only selects candidates: the distances are recomputed as in the
-    dense matrix and ordered by (distance, index), so ties and floats match
-    a full-row sweep.
+    A radius r depends only on the centers within 2r, so each center sweeps
+    its row of k nearest centers (geometry.nearest), exact below the row's
+    bound. k starts at 2, the center and its nearest neighbour, and doubles
+    until the row's first root r has 2r < bound, or the row holds every
+    center. Each pass sweeps all pending centers at once, in blocks of
+    _SWEEP_BLOCK // k rows. A row holds the distances of the dense matrix
+    in (distance, index) order, so ties and floats match a full-row sweep.
     """
     _require_floor(config)
-    n, d = config.n_centers, domain.dim
-    pi_d = unit_ball_volume(d)
+    n = config.n_centers
+    pi_d = unit_ball_volume(domain.dim)
     tree = kd_tree(config.centers, domain)
-    reach = np.minimum(2.0 * (config.appetites[rows] / pi_d) ** (1.0 / d), cap)
     out = np.empty(len(rows))
     todo = np.arange(len(rows))
-    # A list holds at most n centers, so a block of step rows pads to at most
-    # _SWEEP_BLOCK entries. Blocks take the rows by descending reach, so that
-    # lists of similar lengths share a block and padding stays small.
-    step = max(1, _SWEEP_BLOCK // max(n, 1))
+    k = 2
     while todo.size:
-        todo = todo[np.argsort(-reach[todo], kind="stable")]
+        step = max(1, _SWEEP_BLOCK // k)
         again = []
         for s in range(0, todo.size, step):
-            k = todo[s:s + step]
-            lists = tree.query_ball_point(tree.data[rows[k]], 2.0 * reach[k] * (1 + 1e-9),
-                                          return_sorted=True)
-            r, count = _sweep(lists, rows[k], 2.0 * reach[k], config, domain, pi_d)
-            done = (r <= reach[k]) | (reach[k] >= cap) | (count == n)
-            out[k[done]] = np.minimum(r[done], cap)
-            again.append(k[~done])
+            b = todo[s:s + step]
+            r, bound = _sweep(tree, rows[b], k, config, domain, pi_d)
+            # A full row is final even where an infinite appetite gives r = inf.
+            done = (2.0 * r < bound) | (k >= n)
+            out[b[done]] = r[done]
+            again.append(b[~done])
         todo = np.concatenate(again)
-        reach[todo] = np.minimum(2.0 * reach[todo], cap)
+        k *= 2
     return out
 
 
-def _sweep(lists, own: np.ndarray, within: np.ndarray, config: PointConfiguration,
-           domain: Domain, pi_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """First root of each center's appetite step function over its list.
+def _sweep(tree, own: np.ndarray, k: int, config: PointConfiguration, domain: Domain,
+           pi_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """First root of each center's appetite step function over its row of k
+    nearest centers, and the row's bound.
 
-    Row i sweeps the centers of the index-sorted lists[i] at distance <=
-    within[i] from center own[i]. A stable row sort of the distances puts
-    them in (distance, index) order; the breakpoints are half distances.
-    Rows are padded to a common width with appetite 0 and distance inf, as
-    are the centers beyond within, so such an entry adds nothing and opens
-    no interval. Returns the radii and the number of centers swept per row.
+    The breakpoints are half distances. Entries at or past the bound get
+    distance inf and appetite 0, so they add nothing and open no interval;
+    a root r is the true one when 2r < bound.
     """
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    near = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                       count=int(lengths.sum()))
-    owner = np.repeat(np.arange(len(lists)), lengths)
-    col = np.arange(near.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    dist = distance(config.centers[own[owner]], config.centers[near], domain)
-    keep = dist <= within[owner]
-    sd = np.full((len(lists), int(lengths.max())), np.inf)
-    app = np.zeros(sd.shape)
-    sd[owner, col] = np.where(keep, dist, np.inf)
-    app[owner, col] = np.where(keep, config.appetites[near], 0.0)
-    order = np.argsort(sd, axis=1, kind="stable")
-    sd = np.take_along_axis(sd, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(app, order, axis=1), axis=1)
+    nbr, sd, bound = nearest(tree, config.centers[own], k, config.centers, domain)
+    past = sd >= bound[:, None]
+    sd[past] = np.inf
+    cum = np.cumsum(np.where(past, 0.0, config.appetites[nbr]), axis=1)
     starts = sd / 2.0
-    ends = np.hstack([starts[:, 1:], np.full((len(lists), 1), np.inf)])
+    ends = np.hstack([starts[:, 1:], np.full((len(own), 1), np.inf)])
     roots = (cum / pi_d) ** (1.0 / domain.dim)
     # Coincident breakpoints give empty intervals; skip them so the sum is
-    # the true closed-ball sum at the returned radius. The last center swept
-    # ends at inf, so every row has a root.
+    # the true closed-ball sum at the returned radius. The last entry ends
+    # at inf, so every row has a root.
     first = np.argmax((roots < ends) & (starts < ends), axis=1)[:, None]
     r = np.maximum(np.take_along_axis(starts, first, axis=1),
                    np.take_along_axis(roots, first, axis=1))[:, 0]
-    return r, np.count_nonzero(np.isfinite(sd), axis=1)
+    return r, bound
 
 
 def compute_radius(
@@ -141,10 +121,10 @@ def compute_radius(
 def compute_radius_truncated(
     center_index: int, config: PointConfiguration, domain: Domain, cap: float
 ) -> float:
-    """Same sweep restricted to [0, cap]; cap when no root lies below it."""
+    """The radius clipped at cap: a root past the cap means the radius is past it."""
     if cap <= 0:
         raise BooleanModelError("cap must be positive")
-    return float(_radii(config, domain, np.array([center_index]), cap)[0])
+    return min(compute_radius(center_index, config, domain), cap)
 
 
 def _require_floor(config: PointConfiguration) -> None:

@@ -206,13 +206,12 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     thr = None
     if cfg.appetite.floor > 0:
         thr = finiteness_threshold(cfg.intensity, cfg.domain.dim, report.mean)
+    moments = {"mean": report.mean, "variance": report.variance,
+               "upper_moment": report.upper_moment}
     extras = {
-        "moments": {
-            "mean": report.mean,
-            "variance": report.variance,
-            "upper_moment": report.upper_moment if np.isfinite(report.upper_moment) else "inf",
-            "finite": report.finite,
-        },
+        # strict JSON has no Infinity; a heavy tail reports the string "inf"
+        "moments": {**{k: v if np.isfinite(v) else "inf" for k, v in moments.items()},
+                    "finite": report.finite},
         "finiteness_threshold": thr,
     }
     _log("bounds: tables written")

@@ -95,6 +95,31 @@ def kd_tree(points: np.ndarray, domain: Domain) -> cKDTree:
     return cKDTree(np.mod(points, sides), boxsize=sides)
 
 
+def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: Domain):
+    """Each point's k nearest of others (the points of tree) in (distance,
+    index) order, their distances, and the bound below which the row holds
+    every point of others.
+
+    The tree only selects neighbours; distances are recomputed as in
+    pairwise_distances and sorted stably over index-sorted neighbours, so a
+    row matches the start of the dense (distance, index) row up to the bound.
+    The bound is inf when the row holds all of others.
+    """
+    k = min(k, len(others))
+    _, nbr = tree.query(pts, k=k)
+    nbr = np.sort(nbr.reshape(len(pts), k), axis=1)
+    dist = distance(pts[:, None, :], others[nbr], domain)
+    order = np.argsort(dist, axis=1, kind="stable")
+    nbr = np.take_along_axis(nbr, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    if k == len(others):
+        return nbr, dist, np.full(len(pts), np.inf)
+    # Tree and recomputed distances differ by rounding only, so a point
+    # missing from a row is no nearer than its farthest entry less 1e-12.
+    far = dist[:, -1]
+    return nbr, dist, far - 1e-12 * np.maximum(far, 1.0)
+
+
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """Independent stream for one replica, derived from the root seed.
 

@@ -218,6 +218,30 @@ def test_overflowing_appetites_exit_0(subcommand, extra, tmp_path):
                  "--scale-grid", "0.2:1.0:0.4"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("extra, code", zip(_OVERFLOWING.values(), [EXIT_CONFIG] * 3 + [EXIT_OK]),
+                         ids=_OVERFLOWING.keys())
+def test_overflowing_appetites_boolean(extra, code, tmp_path):
+    # infinite appetites give infinite radii; the kernel stops once a row
+    # holds every center, and a window of only censored radii exits 2
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(BASE_CFG + "sides = 4,4\nboundary = open\nfloor = 0.5\n" + extra)
+    assert main(["boolean", "--config", str(cfg), "--out", str(tmp_path / "r")]) == code
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", ["pareto-0.05", "exponential-1e200"])
+def test_bounds_manifest_is_strict_json(name, tmp_path):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(BASE_CFG + _OVERFLOWING[name])
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_OK
+    text = (tmp_path / "r" / "manifest.json").read_text()
+    moments = json.loads(text, parse_constant=_reject_constant)["extras"]["moments"]
+    assert "inf" in (moments["mean"], moments["variance"])
+
+
 def test_seed_changes_outputs(cfg_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["allocate", "--config", str(cfg_file), "--out", str(out1)])

@@ -9,6 +9,8 @@ from allocperc.geometry import (
     Domain,
     GeometryError,
     distance,
+    kd_tree,
+    nearest,
     pairwise_distances,
     replica_rng,
     sample_poisson,
@@ -126,3 +128,35 @@ def test_streams_are_order_insensitive():
     second = [sample_poisson(dom, 1.0, replica_rng(3, i)) for i in (2, 1, 0)]
     for got, want in zip(first, reversed(second)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicated"])
+def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
+    rng = replica_rng(d, 2 * ("random", "lattice", "duplicated").index(kind) + periodic)
+    sides = np.full(d, 5.0)
+    centers = rng.random((40, d)) * sides
+    if kind == "lattice":  # equidistant neighbours everywhere
+        centers = np.floor(centers)
+    elif kind == "duplicated":
+        centers = np.vstack([centers, centers[:15], centers[:3]])
+    centers[0] = sides  # a coordinate equal to the side length
+    dom = Domain(sides=tuple(sides), periodic=periodic)
+    pts = np.vstack([centers, rng.random((30, d)) * sides,
+                     np.floor(rng.random((30, d)) * sides) + 0.5])
+    dense = pairwise_distances(pts, centers, dom)
+    order = np.argsort(dense, axis=1, kind="stable")  # (distance, index) order
+    sd = np.take_along_axis(dense, order, axis=1)
+    tree = kd_tree(centers, dom)
+    n = len(centers)
+    for k in (1, 2, 5, n, n + 3):
+        nbr, dist, bound = nearest(tree, pts, k, centers, dom)
+        assert nbr.shape == dist.shape == (len(pts), min(k, n))
+        assert np.all(np.isinf(bound)) == (k >= n) and np.all(np.isfinite(bound)) == (k < n)
+        for i in range(len(pts)):
+            m = np.count_nonzero(dist[i] < bound[i])
+            assert np.array_equal(nbr[i, :m], order[i, :m])
+            assert np.array_equal(dist[i, :m], sd[i, :m])
+            # every center nearer than the bound is in the row
+            assert np.count_nonzero(dense[i] < bound[i]) == m
