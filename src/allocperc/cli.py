@@ -269,12 +269,12 @@ def main(argv: list[str] | None = None) -> int:
             "workers": args.workers,
         }
         cfg = resolve_config(file_values, overrides)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         code, extras = _COMMANDS[args.subcommand](cfg, out)

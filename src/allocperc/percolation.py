@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -92,12 +93,16 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     centers = model.centers
     if model.n_balls == 0:
         return _empty_report(np.zeros(0, dtype=np.int64), domain.dim)
-    # The tree only proposes pairs; overlap is decided on the recomputed distance.
-    pairs = kd_tree(centers, domain).query_pairs(2.0 * radii.max() * (1 + 1e-9),
-                                                 output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    labels = _components(model.n_balls,
-                         pairs[distance(centers[i], centers[j], domain) < radii[i] + radii[j]])
+    # Ball i proposes its partners within 2 r_i that precede it in (radius, index)
+    # order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed distance decides.
+    tree = kd_tree(centers, domain)
+    lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + 1e-9), return_sorted=False)
+    i = np.repeat(np.arange(model.n_balls), [len(x) for x in lists])
+    j = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i))
+    keep = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
+    i, j = i[keep], j[keep]
+    overlap = distance(centers[i], centers[j], domain) < radii[i] + radii[j]
+    labels = _components(model.n_balls, np.stack([i[overlap], j[overlap]], axis=1))
     if domain.periodic:
         crossing = np.zeros((labels.max() + 1, domain.dim), dtype=bool)
     else:

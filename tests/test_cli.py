@@ -115,6 +115,17 @@ def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_unusable_out_dir_exits_2_with_one_line(below, cfg_file, tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    out = blocker / below if below else blocker
+    assert main(["allocate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_percolate_fully_claimed_torus(tmp_path):
     # no boundary cell: the diameter is the farthest midpoint from any one
     cfg = tmp_path / "p.cfg"

@@ -7,7 +7,7 @@ from allocperc import percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
-from allocperc.geometry import Domain, replica_rng, sample_poisson
+from allocperc.geometry import Domain, pairwise_distances, replica_rng, sample_poisson
 from allocperc.percolation import (
     PercolationError,
     ball_components,
@@ -66,6 +66,91 @@ def test_ball_components_match_bfs(seed):
     radii = rng.uniform(0.1, 0.7, size=len(centers))
     report = ball_components(make_model(centers, radii), dom)
     assert same_partition(report.labels, bfs_ball_components_oracle(centers, radii, dom))
+
+
+def overlap_instance(case, d, periodic, seed):
+    """Centers and radii on a side-6 box where the per-ball proposal radius
+    2 r_i differs most from 2 max r, or where ties decide."""
+    rng = replica_rng(seed)
+    dom = Domain(sides=(6.0,) * d, periodic=periodic)
+    if case.startswith("lattice"):
+        # equal radii; 0.5 is tangent to every lattice neighbour, 1.0 overlaps
+        # at distances 1 and sqrt(2) and is tangent at 2
+        lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * d, indexing="ij"), -1).reshape(-1, d)
+        centers = lattice[rng.random(len(lattice)) < 0.7]
+        return dom, centers, np.full(len(centers), 0.5 if case == "lattice-tangent" else 1.0)
+    centers = sample_poisson(dom, 40.0 / 6.0 ** d, rng)
+    if case == "heavy":
+        return dom, centers, 0.05 * (1.0 + rng.pareto(1.1, len(centers)))
+    radii = rng.uniform(0.05, 0.4, len(centers))
+    if case == "wide":  # one ball with 2r above half a side
+        radii[0] = 1.8
+        return dom, centers, radii
+    # duplicated centers, half with the same radius as their twin
+    twin = rng.integers(0, len(centers), size=len(centers) // 3)
+    twin_radii = radii[twin]
+    twin_radii[1::2] = rng.uniform(0.05, 0.4, len(twin) // 2)
+    return dom, np.vstack([centers, centers[twin]]), np.concatenate([radii, twin_radii])
+
+
+@pytest.mark.parametrize("case", ["heavy", "lattice", "lattice-tangent", "duplicates", "wide"])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_components_exact_where_radii_differ_or_tie(case, periodic, d):
+    for seed in range(3):
+        dom, centers, radii = overlap_instance(case, d, periodic, 100 * d + seed)
+        report = ball_components(make_model(centers, radii), dom)
+        want = bfs_ball_components_oracle(centers, radii, dom)
+        assert same_partition(report.labels, want)
+        if case == "lattice-tangent":
+            assert report.n_components == len(centers)
+
+
+def test_ball_components_proposes_per_ball(monkeypatch):
+    # One ball of radius 5 among ~2000 of radius ~0.2: a proposal radius of
+    # 2 max r recomputes ~325 k distances, per-ball radii ~1 k of the ~4 k
+    # pairs within 2 r_i.
+    dom = Domain(sides=(40.0, 40.0), periodic=False)
+    rng = replica_rng(7)
+    centers = sample_poisson(dom, 1.25, rng)
+    radii = rng.uniform(0.15, 0.25, len(centers))
+    radii[0] = 5.0
+    real_distance = percolation.distance
+    sizes = []
+
+    def spy(a, b, domain):
+        out = real_distance(a, b, domain)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(percolation, "distance", spy)
+    ball_components(make_model(centers, radii), dom)
+    within = int((pairwise_distances(centers, centers, dom) <= 2 * radii[:, None]).sum())
+    assert sizes[0] <= within  # the first distances recomputed are the proposed pairs
+
+
+def crossing_event_brute(model, dom, x, radius_low, beta):
+    sel = (model.radii >= radius_low) & (model.radii <= beta)
+    centers, radii = model.centers[sel], model.radii[sel]
+    labels = bfs_ball_components_oracle(centers, radii, dom)
+    d_x = pairwise_distances(x, centers, dom)[0]
+    return bool(np.intersect1d(labels[d_x < radii + beta], labels[d_x + radii > 2 * beta]).size)
+
+
+def test_crossing_event_matches_brute_force():
+    outcomes = []
+    for seed in range(20):
+        rng = replica_rng(seed + 300)
+        dom = Domain(sides=(20.0, 20.0), periodic=bool(seed % 2))
+        centers = sample_poisson(dom, 1.0, rng)
+        model = make_model(centers, 0.12 * (1.0 + rng.pareto(1.2, len(centers))))
+        beta = rng.uniform(1.5, 3.0)
+        x = rng.uniform(3 * beta, 20.0 - 3 * beta, size=2)
+        radius_low = rng.choice([0.0, 0.25])
+        got = crossing_event(model, dom, x, radius_low, beta)
+        assert got == crossing_event_brute(model, dom, x, radius_low, beta)
+        outcomes.append(got)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_origin_cluster_statistics():
