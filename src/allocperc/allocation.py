@@ -29,8 +29,9 @@ TIE = -2
 _NONE = -3  # internal: cell not currently held by any center
 
 TIE_REL_TOL = 1e-9  # times grid spacing
-PREF_K = 32  # nearest centers listed per cell; farther ones are reached by a jump
-_JUMP_BLOCK = 1 << 20  # cell-center pairs per distance block of a jump
+PREF_K = 8  # nearest centers first listed per cell
+REFILL_K = 32  # length of a refilled list; farther centers are reached by a jump
+_JUMP_BLOCK = 1 << 20  # cell-center pairs per distance block of a jump or a list build
 
 
 class AllocationError(RuntimeError):
@@ -124,8 +125,9 @@ class AllocationResult:
     territory_volumes: np.ndarray
     sated: np.ndarray
     grid_shape: tuple[int, ...]
-    # Deferred-acceptance rounds and cells that went past their preference
-    # list; diagnostics for the manifest only.
+    # Deferred-acceptance rounds, cells whose candidate came from a jump past
+    # their preference list, and cells whose list was refilled; diagnostics
+    # for the manifest only.
     counters: dict = field(default_factory=dict)
 
     @property
@@ -155,11 +157,14 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
 
     Centers are ranked by (distance, index). A cell's next candidate is the
     first center after its last rejection that is not full or holds it
-    within its cutoff, taken from the certified prefix of its PREF_K nearest
-    centers (a kd-tree list), or past it by a jump over the centers that can
-    still accept. The rounds are those of the dense walk over full preference
-    rows, so the result is the same, TIE cells included, and no
-    (cells x centers) array is built.
+    within its cutoff, taken from the certified prefix of its kd-tree list
+    of nearest centers, or past it by a jump over the centers that can still
+    accept. Lists start with PREF_K centers. A cell that runs past its list
+    in a round where more than REFILL_K centers can still accept has its row
+    refilled once, to REFILL_K centers, before it jumps. Only the centers
+    that receive an applicant re-rank their cells. The rounds are those of
+    the dense walk over full preference rows, so the result is the same, TIE
+    cells included, and no (cells x centers) array is built.
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
@@ -171,15 +176,31 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             territory_volumes=np.zeros(0),
             sated=np.ones(0, dtype=bool),
             grid_shape=grid.shape,
-            counters={"rounds": 0, "beyond_list": 0},
+            counters={"rounds": 0, "beyond_list": 0, "refills": 0},
         )
 
     domain = grid.domain
+    centers = config.centers
     cells = grid.cell_centers()
-    tree = kd_tree(config.centers, domain)
-    nbr, nbr_d, bound = nearest(tree, cells, PREF_K, config.centers, domain)
-    nbr_d[nbr_d >= bound[:, None]] = np.inf  # past the certified prefix
-    plen = np.count_nonzero(nbr_d < np.inf, axis=1)
+    tree = kd_tree(centers, domain)
+
+    def fill(idx, k):
+        # The rows of cells idx become their k-nearest lists, built in blocks.
+        step = max(1, _JUMP_BLOCK // k)
+        for s in range(0, idx.size, step):
+            b = idx[s:s + step]
+            r, rd, rb = nearest(tree, cells[b], k, centers, domain)
+            rd[rd >= rb[:, None]] = np.inf  # past the certified prefix
+            nbr[b], nbr_d[b], bound[b] = r, rd, rb
+            plen[b] = np.count_nonzero(rd < np.inf, axis=1)
+
+    nbr = np.zeros((n_cells, min(PREF_K, n_centers)), dtype=np.int64)
+    nbr_d = np.full(nbr.shape, np.inf)
+    bound = np.zeros(n_cells)
+    plen = np.zeros(n_cells, dtype=np.int64)
+    fill(np.arange(n_cells), PREF_K)
+    refill_k = min(REFILL_K, n_centers)
+    refilled = np.zeros(n_cells, dtype=bool)
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
@@ -190,31 +211,47 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     lo_d = np.full(n_cells, -np.inf)  # last rejection: search keys after this one
     lo_c = np.full(n_cells, -1, dtype=np.int64)
     held = np.zeros(n_cells, dtype=bool)
-    decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED or TIE, final
     jumped = np.zeros(n_cells, dtype=bool)
     # A full center never again accepts strictly beyond its current worst
     # held distance; cutoffs only shrink, so skipping on them is safe.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
     full = quota == 0
 
+    def first(idx):
+        # Columns past every row's certified prefix hold only inf.
+        w = max(int(plen[idx].max()), 1)
+        return _first_eligible(nbr[idx, :w], nbr_d[idx, :w], lo_d[idx], lo_c[idx],
+                               full, cutoff)
+
     def exhaust(idx):
         status[idx] = UNCLAIMED
-        decided[idx] = True
 
-    cell_idx = np.arange(n_cells)
+    active = np.arange(n_cells)  # cells held nowhere and undecided
     max_rounds = 10 * max(n_cells, 1)
     for rounds in range(1, max_rounds + 1):
-        active = cell_idx[~decided & ~held]
-        if active.size == 0:
-            break
         # No center takes a cell beyond the largest cutoff: every later key
         # of such a cell would be skipped, so it is UNCLAIMED now.
         reach = np.max(np.where(full, cutoff, np.inf))
 
         # Each cell applies to the first center after its last rejection that
         # would not reject it: from its certified list, else by a jump.
-        col, c, dc = _first_eligible(nbr[active], nbr_d[active], lo_d[active],
-                                     lo_c[active], full, cutoff)
+        col, c, dc = first(active)
+        # A cell past its list would jump over every center that can still
+        # accept; where more than REFILL_K can, a longer row is cheaper.
+        short = np.flatnonzero((col < 0) & ~refilled[active])
+        a = active[short]
+        floor = np.maximum(lo_d[a], bound[a])
+        keep = floor <= reach
+        short, a, floor = short[keep], a[keep], floor[keep]
+        if (short.size and PREF_K < refill_k
+                and np.count_nonzero(_accepting(full, cutoff, floor.min())) > REFILL_K):
+            if nbr.shape[1] < refill_k:
+                pad = ((0, 0), (0, refill_k - nbr.shape[1]))
+                nbr, nbr_d = np.pad(nbr, pad), np.pad(nbr_d, pad, constant_values=np.inf)
+            fill(a, refill_k)
+            refilled[a] = True
+            col[short], c[short], dc[short] = first(a)
+
         listed = col >= 0
         cand[active[listed]], dcand[active[listed]] = c[listed], dc[listed]
         past = active[~listed]
@@ -224,7 +261,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         past, floor = past[keep], floor[keep]
         if past.size:
             c, dc = _jump(cells[past], lo_d[past], lo_c[past], floor.min(),
-                          config.centers, domain, full, cutoff)
+                          centers, domain, full, cutoff)
             found = c >= 0
             exhaust(past[~found])
             past = past[found]
@@ -240,25 +277,27 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         tied[inside] = nbr_d[a, nxt[inside]] - dcand[a] < tie_tol
         a = applicants[~inside]
         tied[~inside] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol,
-                                        config.centers, domain)
+                                        centers, domain)
         status[applicants[tied]] = TIE
-        decided[applicants[tied]] = True
-
-        # Every undecided cell's candidate center ranks it among held + new
-        # applicants; keep the quota nearest.
-        pool = np.concatenate([applicants[~tied], cell_idx[held]])
-        if pool.size == 0:
+        fresh = applicants[~tied]
+        if fresh.size == 0:
             break
+
+        # Each center that got an applicant ranks its held cells and new
+        # applicants and keeps the quota nearest; no other group changes.
+        touched = np.zeros(n_centers, dtype=bool)
+        touched[cand[fresh]] = True
+        pool = np.r_[fresh, np.flatnonzero(held & touched[cand])]
         pool = pool[np.lexsort((pool, dcand[pool], cand[pool]))]
         gc = cand[pool]
         new = np.r_[True, gc[1:] != gc[:-1]]
         starts = np.flatnonzero(new)
         rank = np.arange(pool.size) - starts[np.cumsum(new) - 1]
         keep = rank < quota[gc]
-        rej = pool[~keep]
         held[pool[keep]] = True
-        held[rej] = False
-        lo_d[rej], lo_c[rej] = dcand[rej], cand[rej]
+        active = pool[~keep]
+        held[active] = False
+        lo_d[active], lo_c[active] = dcand[active], cand[active]
 
         # Group sizes / new cutoffs for the next round's candidates.
         heads = gc[starts]
@@ -267,7 +306,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         worst = dcand[pool[starts + np.minimum(sizes, quota[heads]) - 1]]
         cutoff[heads] = np.where(full[heads], worst, np.inf)
 
-        if rej.size == 0 and not np.any(~decided & ~held):
+        if active.size == 0:
             break
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
@@ -282,7 +321,8 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         territory_volumes=volumes,
         sated=sated,
         grid_shape=grid.shape,
-        counters={"rounds": rounds, "beyond_list": int(np.count_nonzero(jumped))},
+        counters={"rounds": rounds, "beyond_list": int(np.count_nonzero(jumped)),
+                  "refills": int(np.count_nonzero(refilled))},
     )
 
 
@@ -312,7 +352,7 @@ def _jump(pts, lo_d, lo_c, floor, centers, domain, full, cutoff):
     reaches floor, which no later key of any point undercuts; they are
     scanned in row blocks of about _JUMP_BLOCK pairs.
     """
-    g = np.flatnonzero(~full | (cutoff >= floor))
+    g = np.flatnonzero(_accepting(full, cutoff, floor))
     best_c = np.full(len(pts), -1, dtype=np.int64)
     best_d = np.full(len(pts), np.inf)
     if g.size == 0:
@@ -324,6 +364,12 @@ def _jump(pts, lo_d, lo_c, floor, centers, domain, full, cutoff):
         _, best_c[rows], best_d[rows] = _first_eligible(g[None, :], d, lo_d[rows],
                                                         lo_c[rows], full, cutoff)
     return best_c, best_d
+
+
+def _accepting(full, cutoff, floor):
+    """Mask of the centers that can still accept a cell at distance floor
+    or beyond."""
+    return ~full | (cutoff >= floor)
 
 
 def _tied_past_list(tree, pts, d, c, tol, centers, domain):

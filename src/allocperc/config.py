@@ -44,19 +44,23 @@ _DEFAULTS = {
 def parse_config_file(path: str) -> dict:
     """Read a flat key = value file; '#' starts a comment."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        raw[key] = value
     return raw
 
 

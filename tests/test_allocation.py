@@ -368,13 +368,14 @@ def lattice(dim, side, step, offset=0.0):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("seed", range(3))
 def test_random_instances_match_dense(monkeypatch, k, dim, periodic, seed):
     # k = 1 leaves every list prefix empty, so each candidate comes from a
-    # jump; k = 2 sends most cells past their list, k = 32 is the shipped depth
+    # refill or a jump; k = 2 sends most cells past their list, k = 8 is the
+    # shipped depth and k = 32, the refill depth, never refills
     monkeypatch.setattr(allocation, "PREF_K", k)
     side, spacing = {1: (12.0, 0.1), 2: (6.0, 0.25), 3: (3.0, 0.25)}[dim]
     config, grid = random_instance(seed + 40 * dim, periodic=periodic, sides=(side,) * dim,
@@ -383,7 +384,7 @@ def test_random_instances_match_dense(monkeypatch, k, dim, periodic, seed):
     assert_matches_dense(config, grid)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 32])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 32])
 @pytest.mark.parametrize("dim,offset", [(1, 0.25), (2, 0.25), (2, 0.0), (3, 0.25)])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_lattice_ties_match_dense(monkeypatch, k, dim, offset, periodic):
@@ -399,7 +400,7 @@ def test_lattice_ties_match_dense(monkeypatch, k, dim, offset, periodic):
     assert np.any(alloc.assignment == TIE)
 
 
-@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_duplicated_and_zero_quota_centers_match_dense(monkeypatch, k, periodic):
     monkeypatch.setattr(allocation, "PREF_K", k)
@@ -456,6 +457,38 @@ def test_critical_scale_resolves_past_the_list():
     alloc = assert_matches_dense(config, grid)
     assert alloc.counters["beyond_list"] > 0
     assert alloc.counters["rounds"] > 1
+
+
+@pytest.mark.parametrize("block", [allocation._JUMP_BLOCK, 40])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_refilled_rows_with_ties_match_dense(monkeypatch, block, periodic):
+    # a 3-D lattice with more than REFILL_K centers and small quotas: at the
+    # shipped depth some rows are refilled, some cells jump past them and
+    # some cells tie; a block of 40 pairs builds lists and jumps in many blocks
+    monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
+    dom = Domain(sides=(4.0,) * 3, periodic=periodic)
+    grid = SiteGrid(domain=dom, spacing=0.5)
+    rng = replica_rng(7, 3)
+    centers = lattice(3, 4.0, 1.0, 0.25)
+    centers = centers[rng.random(len(centers)) < 0.8]
+    appetites = rng.integers(0, 6, size=len(centers)) * grid.cell_volume
+    alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
+    assert alloc.counters["refills"] > 0 and alloc.counters["beyond_list"] > 0
+    assert np.any(alloc.assignment == TIE)
+
+
+def test_short_lists_refill_once_and_build_fewer_entries():
+    # open 30x30 at the critical appetite scale: some cells get a longer row,
+    # some still jump past it, and the lists hold fewer entries than one
+    # 32-center row per cell would
+    dom = Domain(sides=(30.0, 30.0), periodic=False)
+    grid = SiteGrid(domain=dom, spacing=0.25)
+    dist = AppetiteDistribution("exponential", {"mean": 1.0}, scale=1.0)
+    alloc = gale_shapley(sample_replica(dom, 1.0, dist, 1, 0), grid)
+    refills = alloc.counters["refills"]
+    assert refills > 0 and alloc.counters["beyond_list"] > 0
+    entries = grid.n_cells * allocation.PREF_K + refills * allocation.REFILL_K
+    assert entries < grid.n_cells * 32
 
 
 @pytest.mark.parametrize("dim,side,spacing,centers", [

@@ -115,6 +115,14 @@ def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
+def test_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(BASE_CFG.encode("utf-16"))  # starts with the bytes ff fe
+    assert main(["allocate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
 def test_unusable_out_dir_exits_2_with_one_line(below, cfg_file, tmp_path, capsys):
     blocker = tmp_path / "afile"
@@ -165,8 +173,10 @@ def test_allocate_counters_go_to_the_manifest_only(cfg_file, tmp_path):
     assert main(["allocate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
     counters = json.loads((out / "manifest.json").read_text())["extras"]["counters"]
     assert [c["replica"] for c in counters] == [0, 1]
-    assert all(c["rounds"] >= 1 and c["beyond_list"] >= 0 for c in counters)
-    assert "rounds" not in (out / "allocation.csv").read_text()
+    assert all(c["rounds"] >= 1 and c["beyond_list"] >= 0 and c["refills"] >= 0
+               for c in counters)
+    csv_text = (out / "allocation.csv").read_text()
+    assert "rounds" not in csv_text and "refills" not in csv_text
 
 
 def test_sweep_monotone_column(tmp_path):
