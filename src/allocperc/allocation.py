@@ -29,9 +29,8 @@ TIE = -2
 _NONE = -3  # internal: cell not currently held by any center
 
 TIE_REL_TOL = 1e-9  # times grid spacing
-PREF_K = 8  # nearest centers first listed per cell
-REFILL_K = 32  # length of a refilled list; farther centers are reached by a jump
-_JUMP_BLOCK = 1 << 20  # cell-center pairs per distance block of a jump or a list build
+PREF_K = 8  # nearest centers listed per cell
+_JUMP_BLOCK = 1 << 20  # cell-center pairs per block of a jump or a list build
 
 
 class AllocationError(RuntimeError):
@@ -125,9 +124,8 @@ class AllocationResult:
     territory_volumes: np.ndarray
     sated: np.ndarray
     grid_shape: tuple[int, ...]
-    # Deferred-acceptance rounds, cells whose candidate came from a jump past
-    # their preference list, and cells whose list was refilled; diagnostics
-    # for the manifest only.
+    # Deferred-acceptance rounds and cells whose candidate came from a jump
+    # past their preference list; diagnostics for the manifest only.
     counters: dict = field(default_factory=dict)
 
     @property
@@ -158,13 +156,11 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     Centers are ranked by (distance, index). A cell's next candidate is the
     first center after its last rejection that is not full or holds it
     within its cutoff, taken from the certified prefix of its kd-tree list
-    of nearest centers, or past it by a jump over the centers that can still
-    accept. Lists start with PREF_K centers. A cell that runs past its list
-    in a round where more than REFILL_K centers can still accept has its row
-    refilled once, to REFILL_K centers, before it jumps. Only the centers
-    that receive an applicant re-rank their cells. The rounds are those of
-    the dense walk over full preference rows, so the result is the same, TIE
-    cells included, and no (cells x centers) array is built.
+    of PREF_K nearest centers, or past it by one exact jump (_next_key).
+    Only the centers that receive an applicant re-rank their cells. The
+    rounds are those of the dense walk over full preference rows, so the
+    result is the same, TIE cells included, and no (cells x centers) array
+    is built.
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
@@ -176,7 +172,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             territory_volumes=np.zeros(0),
             sated=np.ones(0, dtype=bool),
             grid_shape=grid.shape,
-            counters={"rounds": 0, "beyond_list": 0, "refills": 0},
+            counters={"rounds": 0, "beyond_list": 0},
         )
 
     domain = grid.domain
@@ -184,23 +180,16 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     cells = grid.cell_centers()
     tree = kd_tree(centers, domain)
 
-    def fill(idx, k):
-        # The rows of cells idx become their k-nearest lists, built in blocks.
-        step = max(1, _JUMP_BLOCK // k)
-        for s in range(0, idx.size, step):
-            b = idx[s:s + step]
-            r, rd, rb = nearest(tree, cells[b], k, centers, domain)
-            rd[rd >= rb[:, None]] = np.inf  # past the certified prefix
-            nbr[b], nbr_d[b], bound[b] = r, rd, rb
-            plen[b] = np.count_nonzero(rd < np.inf, axis=1)
-
+    # Each cell's k-nearest list, built in blocks; inf past its certified prefix.
     nbr = np.zeros((n_cells, min(PREF_K, n_centers)), dtype=np.int64)
-    nbr_d = np.full(nbr.shape, np.inf)
-    bound = np.zeros(n_cells)
-    plen = np.zeros(n_cells, dtype=np.int64)
-    fill(np.arange(n_cells), PREF_K)
-    refill_k = min(REFILL_K, n_centers)
-    refilled = np.zeros(n_cells, dtype=bool)
+    nbr_d = np.empty(nbr.shape)
+    step = max(1, _JUMP_BLOCK // nbr.shape[1])
+    for s in range(0, n_cells, step):
+        b = slice(s, s + step)
+        r, rd, rb = nearest(tree, cells[b], PREF_K, centers, domain)
+        rd[rd >= rb[:, None]] = np.inf
+        nbr[b], nbr_d[b] = r, rd
+    plen = np.count_nonzero(nbr_d < np.inf, axis=1)
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
@@ -217,53 +206,22 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     cutoff = np.where(quota == 0, -np.inf, np.inf)
     full = quota == 0
 
-    def first(idx):
-        # Columns past every row's certified prefix hold only inf.
-        w = max(int(plen[idx].max()), 1)
-        return _first_eligible(nbr[idx, :w], nbr_d[idx, :w], lo_d[idx], lo_c[idx],
-                               full, cutoff)
-
-    def exhaust(idx):
-        status[idx] = UNCLAIMED
-
     active = np.arange(n_cells)  # cells held nowhere and undecided
     max_rounds = 10 * max(n_cells, 1)
     for rounds in range(1, max_rounds + 1):
-        # No center takes a cell beyond the largest cutoff: every later key
-        # of such a cell would be skipped, so it is UNCLAIMED now.
-        reach = np.max(np.where(full, cutoff, np.inf))
-
         # Each cell applies to the first center after its last rejection that
         # would not reject it: from its certified list, else by a jump.
-        col, c, dc = first(active)
-        # A cell past its list would jump over every center that can still
-        # accept; where more than REFILL_K can, a longer row is cheaper.
-        short = np.flatnonzero((col < 0) & ~refilled[active])
-        a = active[short]
-        floor = np.maximum(lo_d[a], bound[a])
-        keep = floor <= reach
-        short, a, floor = short[keep], a[keep], floor[keep]
-        if (short.size and PREF_K < refill_k
-                and np.count_nonzero(_accepting(full, cutoff, floor.min())) > REFILL_K):
-            if nbr.shape[1] < refill_k:
-                pad = ((0, 0), (0, refill_k - nbr.shape[1]))
-                nbr, nbr_d = np.pad(nbr, pad), np.pad(nbr_d, pad, constant_values=np.inf)
-            fill(a, refill_k)
-            refilled[a] = True
-            col[short], c[short], dc[short] = first(a)
-
+        w = max(int(plen[active].max()), 1)  # later columns hold only inf
+        col, c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], lo_d[active],
+                                     lo_c[active], full, cutoff)
         listed = col >= 0
         cand[active[listed]], dcand[active[listed]] = c[listed], dc[listed]
         past = active[~listed]
-        floor = np.maximum(lo_d[past], bound[past])  # no later key is nearer
-        exhaust(past[floor > reach])
-        keep = floor <= reach
-        past, floor = past[keep], floor[keep]
         if past.size:
-            c, dc = _jump(cells[past], lo_d[past], lo_c[past], floor.min(),
-                          centers, domain, full, cutoff)
+            c, dc = _next_key(cells[past], lo_d[past], lo_c[past], centers, domain,
+                              full, cutoff)
             found = c >= 0
-            exhaust(past[~found])
+            status[past[~found]] = UNCLAIMED  # no center would take it
             past = past[found]
             cand[past], dcand[past] = c[found], dc[found]
             jumped[past] = True
@@ -321,8 +279,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         territory_volumes=volumes,
         sated=sated,
         grid_shape=grid.shape,
-        counters={"rounds": rounds, "beyond_list": int(np.count_nonzero(jumped)),
-                  "refills": int(np.count_nonzero(refilled))},
+        counters={"rounds": rounds, "beyond_list": int(np.count_nonzero(jumped))},
     )
 
 
@@ -331,8 +288,8 @@ def _first_eligible(c, d, lo_d, lo_c, full, cutoff):
     (distance, index), the first key after the row's key (lo_d, lo_c) whose
     center is not full or holds it within its cutoff.
 
-    c may be one row shared by every row of d. Returns (column, center,
-    distance), with column and center -1 and distance inf where none is.
+    Returns (column, center, distance), with column and center -1 and
+    distance inf where none is.
     """
     ld, lc = lo_d[:, None], lo_c[:, None]
     ok = (~full[c] | (d <= cutoff[c])) & ((d > ld) | ((d == ld) & (c > lc)))
@@ -341,35 +298,64 @@ def _first_eligible(c, d, lo_d, lo_c, full, cutoff):
     rows = np.arange(len(j))
     dj = d[rows, j]
     hit = dj < np.inf
-    return (np.where(hit, j, -1), np.where(hit, np.broadcast_to(c, d.shape)[rows, j], -1),
-            dj)
+    return np.where(hit, j, -1), np.where(hit, c[rows, j], -1), dj
 
 
-def _jump(pts, lo_d, lo_c, floor, centers, domain, full, cutoff):
-    """For each point, _first_eligible over every center; -1 if none.
+def _next_key(pts, lo_d, lo_c, centers, domain, full, cutoff):
+    """For each point, the first center after its key (lo_d, lo_c) in
+    (distance, index) order that is not full or holds it within its cutoff;
+    (-1, inf) where none is.
 
-    Candidates are the centers not full and the full ones whose cutoff
-    reaches floor, which no later key of any point undercuts; they are
-    scanned in row blocks of about _JUMP_BLOCK pairs.
+    A cell is rejected only by a full center and skips only full ones, and a
+    full center stays full, so every center at or before its key is full.
+    The answer is then the smaller key of (A) the nearest center not full:
+    the first entry of a geometry.nearest row over those centers, k doubling
+    from 2 until that entry lies below the row's bound; and (B) the nearest
+    full center whose cutoff ball, queried in a kd-tree of the points, holds
+    the point at a key after (lo_d, lo_c). Both run in blocks of about
+    _JUMP_BLOCK pairs.
     """
-    g = np.flatnonzero(_accepting(full, cutoff, floor))
     best_c = np.full(len(pts), -1, dtype=np.int64)
     best_d = np.full(len(pts), np.inf)
+    open_ = np.flatnonzero(~full)
+    if open_.size:
+        others = centers[open_]
+        tree = kd_tree(others, domain)
+        todo, k = np.arange(len(pts)), 2
+        while todo.size:
+            again, step = [], max(1, _JUMP_BLOCK // k)
+            for s in range(0, todo.size, step):
+                b = todo[s:s + step]
+                nbr, d, bound = nearest(tree, pts[b], k, others, domain)
+                done = d[:, 0] < bound
+                best_c[b[done]], best_d[b[done]] = open_[nbr[done, 0]], d[done, 0]
+                again.append(b[~done])
+            todo, k = np.concatenate(again), 2 * k
+
+    # Only a cutoff at or past some point's key can hold that point after it.
+    g = np.flatnonzero(full & (cutoff >= max(lo_d.min(), 0.0)))
     if g.size == 0:
         return best_c, best_d
-    step = max(1, _JUMP_BLOCK // g.size)
-    for s in range(0, len(pts), step):
-        rows = slice(s, s + step)
-        d = pairwise_distances(pts[rows], centers[g], domain)
-        _, best_c[rows], best_d[rows] = _first_eligible(g[None, :], d, lo_d[rows],
-                                                        lo_c[rows], full, cutoff)
+    tree = kd_tree(pts, domain)
+    r = cutoff[g] * (1.0 + 1e-9)  # tree distances are off by rounding only
+    n = tree.query_ball_point(centers[g], r, return_length=True)  # a center at L is fine
+    g, r, n = g[n > 0], r[n > 0], n[n > 0]
+    cum = np.cumsum(n)
+    s = 0
+    while s < g.size:  # blocks of at most _JUMP_BLOCK hits, or one center
+        e = max(s + 1, int(np.searchsorted(cum, cum[s] - n[s] + _JUMP_BLOCK, "right")))
+        p = np.concatenate(tree.query_ball_point(centers[g[s:e]], r[s:e])).astype(np.int64)
+        c = np.repeat(g[s:e], n[s:e])
+        d = distance(pts[p], centers[c], domain)
+        ok = (d <= cutoff[c]) & ((d > lo_d[p]) | ((d == lo_d[p]) & (c > lo_c[p])))
+        o = np.flatnonzero(ok)
+        o = o[np.lexsort((c[o], d[o], p[o]))]
+        o = o[np.unique(p[o], return_index=True)[1]]  # each point's smallest key
+        p, c, d = p[o], c[o], d[o]
+        better = (d < best_d[p]) | ((d == best_d[p]) & (c < best_c[p]))
+        best_c[p[better]], best_d[p[better]] = c[better], d[better]
+        s = e
     return best_c, best_d
-
-
-def _accepting(full, cutoff, floor):
-    """Mask of the centers that can still accept a cell at distance floor
-    or beyond."""
-    return ~full | (cutoff >= floor)
 
 
 def _tied_past_list(tree, pts, d, c, tol, centers, domain):

@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
+    except MemoryError as exc:  # an array numpy refuses to allocate
+        _log(f"config error: out of memory: {exc}")
+        return EXIT_CONFIG
     _write_manifest(out, cfg, args.subcommand, started, extras)
     return code
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .allocation import SiteGrid
 from .appetite import FAMILIES, AppetiteConfigError, AppetiteDistribution
 from .geometry import Domain, GeometryError
@@ -65,7 +67,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def parse_scale_grid(text: str) -> list[float]:
-    """lo:hi:step, endpoints inclusive (within rounding)."""
+    """lo:hi:step, endpoints inclusive (within rounding); lo >= 0 and at
+    most 10 000 scales, since each scale is one solve per replica."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"scale grid must be lo:hi:step, got {text!r}")
@@ -73,17 +76,19 @@ def parse_scale_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad scale grid {text!r}") from exc
-    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo or lo < 0:
         raise ConfigError(f"bad scale grid {text!r}")
-    grid = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-9 * step:
-            break
-        grid.append(round(v, 12))
-        k += 1
-    return grid
+    # The points lo + k step up to hi + 1e-9 step ascend with k, so a sorted
+    # search counts them. Where step is below the float spacing at lo, the
+    # sum stalls and (hi - lo) / step counts them instead.
+    with np.errstate(over="ignore"):  # points past the float range are inf
+        v = lo + np.arange(10_001) * step
+    n = int(np.searchsorted(v, hi + 1e-9 * step, side="right"))
+    if n > 10_000:
+        if (hi - lo) / step + 1e-9 >= 10_000:
+            raise ConfigError(f"scale grid {text!r} has more than 10000 scales")
+        n = int((hi - lo) / step + 1e-9) + 1
+    return [round(float(x), 12) for x in v[:n]]
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     spacing = as_float("spacing")
     try:
         domain = Domain(sides=sides, periodic=boundary == "periodic")
-        SiteGrid(domain=domain, spacing=spacing)  # the spacing must tile every side
+        grid = SiteGrid(domain=domain, spacing=spacing)  # the spacing must tile every side
         appetite = AppetiteDistribution(
             family=family,
             params=params,
@@ -174,6 +179,10 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         )
     except (GeometryError, AppetiteConfigError) as exc:
         raise ConfigError(str(exc)) from exc
+    # Sizes numpy could neither index nor allocate, checked before any array
+    # (the float product is inf past the float range).
+    if math.prod(grid.shape) > 2 ** 62 or intensity * math.prod(sides) > 2.0 ** 62:
+        raise ConfigError("the box holds more than 2^62 cells or expected centers")
 
     seed = as_int("seed")
     if seed < 0:

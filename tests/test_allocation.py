@@ -374,8 +374,8 @@ def lattice(dim, side, step, offset=0.0):
 @pytest.mark.parametrize("seed", range(3))
 def test_random_instances_match_dense(monkeypatch, k, dim, periodic, seed):
     # k = 1 leaves every list prefix empty, so each candidate comes from a
-    # refill or a jump; k = 2 sends most cells past their list, k = 8 is the
-    # shipped depth and k = 32, the refill depth, never refills
+    # jump; k = 2 sends most cells past their list, k = 8 is the shipped
+    # depth and k = 32 lists most of the about 40 centers
     monkeypatch.setattr(allocation, "PREF_K", k)
     side, spacing = {1: (12.0, 0.1), 2: (6.0, 0.25), 3: (3.0, 0.25)}[dim]
     config, grid = random_instance(seed + 40 * dim, periodic=periodic, sides=(side,) * dim,
@@ -425,10 +425,126 @@ def test_first_eligible_takes_the_next_key_in_distance_index_order():
     d = np.array([[1.0, 1.0, 1.5]] * 4)
     lo_d = np.array([1.0, 1.0, -np.inf, 1.5])
     lo_c = np.array([0, 2, -1, 3])
-    want = ([1, 2, 0, -1], [2, 3, 0, -1], [1.0, 1.5, 1.0, np.inf])
-    for row in (c, c[:1]):  # per-row lists, and one row shared as in a jump
-        got = allocation._first_eligible(row, d, lo_d, lo_c, full, cutoff)
-        assert [g.tolist() for g in got] == list(want)
+    got = allocation._first_eligible(c, d, lo_d, lo_c, full, cutoff)
+    assert [g.tolist() for g in got] == [[1, 2, 0, -1], [2, 3, 0, -1],
+                                         [1.0, 1.5, 1.0, np.inf]]
+
+
+def _jump_states(case):
+    """Points, centers, domain and a (full, cutoff) state for _next_key, with
+    the dense distances."""
+    rng = replica_rng(13, len(case))
+    if case == "ties":  # points equidistant from 2 or 4 lattice centers
+        dom = Domain(sides=(4.0, 4.0), periodic=True)
+        centers, pts = lattice(2, 4.0, 1.0), lattice(2, 4.0, 0.5)
+    elif case == "duplicates":  # some centers twice, some three times
+        dom = Domain(sides=(4.0, 4.0), periodic=False)
+        centers = rng.random((12, 2)) * 4.0
+        centers = np.vstack([centers, centers[:6], centers[:3]])
+        pts = lattice(2, 4.0, 0.5, 0.25)
+    elif case == "near ties":
+        # 12 centers on a circle around each point, at distances equal up to
+        # rounding, which the kd-tree and the recomputed distances can order
+        # differently
+        dom = Domain(sides=(4.0, 4.0), periodic=False)
+        pts = lattice(2, 4.0, 1.0, 0.5) + rng.random((16, 2)) * 0.1
+        angle = rng.random((16, 1)) + np.arange(12) * np.pi / 6
+        radius = rng.uniform(0.2, 0.4, (16, 1))
+        centers = (pts[:, None, :] + radius[..., None] * np.stack(
+            [np.cos(angle), np.sin(angle)], axis=-1)).reshape(-1, 2)
+    else:  # "at L": centers at exactly L are the query points of part B
+        dom = Domain(sides=(3.0, 3.0, 3.0), periodic=True)
+        centers = np.vstack([lattice(3, 3.0, 1.5), [[3.0, 3.0, 3.0], [3.0, 0.5, 3.0]]])
+        pts = lattice(3, 3.0, 0.75, 0.125)
+    dist = pairwise_distances(pts, centers, dom)
+    full = rng.random(len(centers)) < 0.6
+    # A full center's cutoff is its worst held distance: here the distance
+    # of its nearest point, one float below it, or that of a random point;
+    # every fifth center has a zero quota.
+    near = dist.min(axis=0)
+    cutoff = np.choose(rng.integers(0, 3, len(centers)),
+                       [near, np.nextafter(near, -np.inf),
+                        dist[rng.integers(0, len(pts), len(centers)), np.arange(len(centers))]])
+    cutoff = np.where(full, cutoff, np.inf)
+    cutoff[::5] = np.where(full[::5], -np.inf, np.inf)
+    return pts, centers, dom, full, cutoff, dist
+
+
+@pytest.mark.parametrize("block", [allocation._JUMP_BLOCK, 5])
+@pytest.mark.parametrize("case", ["ties", "duplicates", "near ties", "at L", "none eligible"])
+def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block, case):
+    monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
+    pts, centers, dom, full, cutoff, dist = _jump_states(
+        "duplicates" if case == "none eligible" else case)
+    if case == "none eligible":  # every center full, every cutoff short of the points
+        full[:] = True
+        cutoff = np.minimum(cutoff, dist.min(axis=0) - 1e-6)
+        cutoff[-1] = -np.inf
+    order = np.argsort(dist, axis=1, kind="stable")
+    sd = np.take_along_axis(dist, order, axis=1)
+    # last keys: none, then a random position before each row's first
+    # center not full
+    first_open = np.where(full[order].all(axis=1), order.shape[1],
+                          np.argmax(~full[order], axis=1))
+    rows = np.arange(len(pts))
+    for pos in (np.full(len(pts), -1),
+                (replica_rng(17).random(len(pts)) * (first_open + 1)).astype(np.int64) - 1):
+        lo_d = np.where(pos >= 0, sd[rows, np.maximum(pos, 0)], -np.inf)
+        lo_c = np.where(pos >= 0, order[rows, np.maximum(pos, 0)], -1)
+        _, want_c, want_d = allocation._first_eligible(order, sd, lo_d, lo_c, full, cutoff)
+        got_c, got_d = allocation._next_key(pts, lo_d, lo_c, centers, dom, full, cutoff)
+        assert np.array_equal(got_c, want_c) and np.array_equal(got_d, want_d)
+        if case == "none eligible":
+            assert np.all(got_c == -1) and np.all(got_d == np.inf)
+        else:  # both parts answer, some at a cutoff boundary
+            hit = got_c[got_c >= 0]
+            assert np.any(~full[hit]) and np.any(full[hit])
+            assert np.any(got_d[got_c >= 0] == cutoff[hit]) or pos.max() >= 0
+            assert case != "at L" or np.any(hit == len(centers) - 1)
+    assert pos.max() >= 0
+
+
+def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
+    # every center in one corner of an open box, with quotas that add up to
+    # more than the box: the cutoff balls cover most cells and one round's
+    # balls hold more jumping cells than the grid has, yet the jump builds
+    # at most max(block, n_cells) cell-center pairs at once
+    block = 64
+    monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
+    sizes, inside = [], []
+    real_next_key, real_nearest = allocation._next_key, allocation.nearest
+    real_distance = allocation.distance
+
+    def next_key(*args):
+        inside.append(True)
+        try:
+            return real_next_key(*args)
+        finally:
+            inside.pop()
+
+    def nearest(tree, pts, k, others, domain):
+        if inside:
+            sizes.append(len(pts) * min(k, len(others)))
+        return real_nearest(tree, pts, k, others, domain)
+
+    def distance(a, b, domain):
+        d = real_distance(a, b, domain)
+        if inside:
+            sizes.append(d.size)
+        return d
+
+    monkeypatch.setattr(allocation, "_next_key", next_key)
+    monkeypatch.setattr(allocation, "nearest", nearest)
+    monkeypatch.setattr(allocation, "distance", distance)
+    dom = Domain(sides=(8.0, 8.0), periodic=False)
+    grid = SiteGrid(domain=dom, spacing=0.5)
+    rng = replica_rng(23)
+    centers = rng.random((100, 2))
+    appetites = rng.uniform(0.2, 1.2, size=len(centers))
+    alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
+    assert alloc.counters["beyond_list"] > grid.n_cells // 2
+    assert max(sizes) <= max(block, grid.n_cells)
+    assert sum(sizes) > 10 * grid.n_cells  # the jumps ran in many blocks
 
 
 @settings(max_examples=150, deadline=None)
@@ -461,10 +577,10 @@ def test_critical_scale_resolves_past_the_list():
 
 @pytest.mark.parametrize("block", [allocation._JUMP_BLOCK, 40])
 @pytest.mark.parametrize("periodic", [True, False])
-def test_refilled_rows_with_ties_match_dense(monkeypatch, block, periodic):
-    # a 3-D lattice with more than REFILL_K centers and small quotas: at the
-    # shipped depth some rows are refilled, some cells jump past them and
-    # some cells tie; a block of 40 pairs builds lists and jumps in many blocks
+def test_jumps_with_ties_match_dense(monkeypatch, block, periodic):
+    # a 3-D lattice with small quotas: at the shipped depth some cells jump
+    # past their list and some cells tie; a block of 40 pairs builds lists
+    # and jumps in many blocks
     monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
     dom = Domain(sides=(4.0,) * 3, periodic=periodic)
     grid = SiteGrid(domain=dom, spacing=0.5)
@@ -473,22 +589,8 @@ def test_refilled_rows_with_ties_match_dense(monkeypatch, block, periodic):
     centers = centers[rng.random(len(centers)) < 0.8]
     appetites = rng.integers(0, 6, size=len(centers)) * grid.cell_volume
     alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
-    assert alloc.counters["refills"] > 0 and alloc.counters["beyond_list"] > 0
+    assert alloc.counters["beyond_list"] > 0
     assert np.any(alloc.assignment == TIE)
-
-
-def test_short_lists_refill_once_and_build_fewer_entries():
-    # open 30x30 at the critical appetite scale: some cells get a longer row,
-    # some still jump past it, and the lists hold fewer entries than one
-    # 32-center row per cell would
-    dom = Domain(sides=(30.0, 30.0), periodic=False)
-    grid = SiteGrid(domain=dom, spacing=0.25)
-    dist = AppetiteDistribution("exponential", {"mean": 1.0}, scale=1.0)
-    alloc = gale_shapley(sample_replica(dom, 1.0, dist, 1, 0), grid)
-    refills = alloc.counters["refills"]
-    assert refills > 0 and alloc.counters["beyond_list"] > 0
-    entries = grid.n_cells * allocation.PREF_K + refills * allocation.REFILL_K
-    assert entries < grid.n_cells * 32
 
 
 @pytest.mark.parametrize("dim,side,spacing,centers", [
