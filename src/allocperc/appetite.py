@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtri
+from scipy.special import gammaincc, ndtr, ndtri
 
 
 class AppetiteConfigError(ValueError):
@@ -102,21 +101,25 @@ def sample_appetite(dist: AppetiteDistribution, rng: np.random.Generator) -> flo
 
 
 def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
-    """E[max(V, floor)^order] of the base variable by quadrature in u-space;
-    inf when the moment or its integrand leaves the float range."""
-
-    def integrand(u):
-        return float(np.maximum(dist.base_quantile(u), dist.floor)) ** order
-
-    points = []
-    if dist.floor > 0:
-        u_star = _base_cdf(dist, dist.floor)
-        if 0.0 < u_star < 1.0:
-            points.append(u_star)
+    """E[max(V, floor)^order] = floor^q P[V <= floor] + E[V^q; V > floor] in
+    closed form (q = order < index for a Pareto law); inf past the float range."""
+    p, f, q = dist.params, dist.floor, order
     try:
         if dist.family == "constant":
-            return max(dist.params["value"], dist.floor) ** order
-        return integrate.quad(integrand, 0.0, 1.0, points=points or None, limit=200)[0]
+            return max(p["value"], f) ** q
+        if dist.family == "exponential":
+            # m^q Gamma(q + 1) Q(q + 1, f/m); the first two factors in logs, since
+            # either alone can overflow or underflow where their product does not
+            tail = math.exp(q * math.log(p["mean"]) + math.lgamma(q + 1.0)) * float(
+                gammaincc(q + 1.0, f / p["mean"]))
+        elif dist.family == "pareto":  # a x_m^a g^(q - a) / (a - q), g = max(f, x_m)
+            g = max(f, p["scale"])
+            tail = p["index"] / (p["index"] - q) * g ** q * (p["scale"] / g) ** p["index"]
+        else:  # e^(q mu + q^2 sigma^2 / 2) Phi(q sigma - z), z = (ln f - mu) / sigma
+            z = (math.log(f) - p["mu"]) / p["sigma"] if f > 0 else -math.inf
+            tail = math.exp(q * p["mu"] + 0.5 * (q * p["sigma"]) ** 2) * float(
+                ndtr(q * p["sigma"] - z))
+        return f ** q * _base_cdf(dist, f) + tail
     except OverflowError:
         return math.inf
 
@@ -130,11 +133,7 @@ def _base_cdf(dist: AppetiteDistribution, v: float) -> float:
     if dist.family == "pareto":
         return 1.0 - (p["scale"] / v) ** p["index"] if v > p["scale"] else 0.0
     if dist.family == "lognormal":
-        if v <= 0:
-            return 0.0
-        from scipy.special import ndtr
-
-        return float(ndtr((math.log(v) - p["mu"]) / p["sigma"]))
+        return float(ndtr((math.log(v) - p["mu"]) / p["sigma"])) if v > 0 else 0.0
     raise AssertionError(dist.family)
 
 

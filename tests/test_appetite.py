@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import allocperc
 from allocperc.appetite import (
     AppetiteConfigError,
     AppetiteDistribution,
@@ -14,15 +19,33 @@ from allocperc.appetite import (
 from allocperc.geometry import replica_rng
 
 
-def expected_truncated_exponential_mean(mean, floor):
-    """Quadrature oracle for E[max(V, floor)] with V exponential."""
+def _density(family, params):
+    if family == "exponential":
+        m = params["mean"]
+        return lambda v: math.exp(-v / m) / m
+    if family == "pareto":
+        x_m, a = params["scale"], params["index"]
+        return lambda v: a * x_m ** a * v ** (-a - 1.0) if v > x_m else 0.0
+    mu, sigma = params["mu"], params["sigma"]
+    return lambda v: (math.exp(-0.5 * ((math.log(v) - mu) / sigma) ** 2)
+                      / (v * sigma * math.sqrt(2.0 * math.pi)) if v > 0 else 0.0)
 
-    def integrand(v):
-        return max(v, floor) * math.exp(-v / mean) / mean
 
-    head, _ = integrate.quad(integrand, 0.0, floor)
-    tail, _ = integrate.quad(integrand, floor, np.inf)
-    return head + tail
+def oracle_moment(family, params, floor, q):
+    """E[max(V, floor)^q] by quadrature of v^q times the density in v-space,
+    split at the floor and at the Pareto scale."""
+    if family == "constant":
+        return max(params["value"], floor) ** q
+    if family == "pareto" and q >= params["index"]:
+        return math.inf
+    pdf = _density(family, params)
+    cuts = sorted({0.0, floor, params["scale"] if family == "pareto" else 0.0})
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:] + [math.inf]):
+        power = (lambda v: floor ** q) if hi <= floor else (lambda v: v ** q)
+        total += integrate.quad(lambda v: power(v) * pdf(v), lo, hi,
+                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
 
 
 def test_constant_family():
@@ -44,7 +67,7 @@ def test_zero_scale_is_zero():
 def test_truncated_exponential_empirical_mean():
     dist = AppetiteDistribution("exponential", {"mean": 1.0}, scale=1.0, floor=0.2)
     samples = sample_appetites(dist, 100_000, replica_rng(2))
-    want = expected_truncated_exponential_mean(1.0, 0.2)
+    want = oracle_moment("exponential", {"mean": 1.0}, 0.2, 1.0)
     assert want == pytest.approx(0.2 + math.exp(-0.2), abs=1e-9)
     assert np.mean(samples) == pytest.approx(want, abs=0.01)
 
@@ -103,3 +126,42 @@ def test_empirical_upper_moment_matches_report():
     v = np.maximum(dist.base_quantile(replica_rng(6).random(100_000)), 0.5)
     emp = np.mean(v ** 3)
     assert abs(emp - rep.upper_moment) / rep.upper_moment < 0.1
+
+
+_LAWS = {
+    "exp-1": ("exponential", {"mean": 1.0}),
+    "exp-2.5": ("exponential", {"mean": 2.5}),
+    "pareto-1-3.5": ("pareto", {"scale": 1.0, "index": 3.5}),
+    "pareto-0.5-6": ("pareto", {"scale": 0.5, "index": 6.0}),
+    "pareto-1-2.5": ("pareto", {"scale": 1.0, "index": 2.5}),
+    "pareto-1-1.5": ("pareto", {"scale": 1.0, "index": 1.5}),
+    "lognormal-0-1": ("lognormal", {"mu": 0.0, "sigma": 1.0}),
+    "lognormal--0.3-0.5": ("lognormal", {"mu": -0.3, "sigma": 0.5}),
+    "constant-2": ("constant", {"value": 2.0}),
+}
+
+
+@pytest.mark.parametrize("tail", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("floor", [0.0, 0.3, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("law", _LAWS.values(), ids=_LAWS.keys())
+def test_moment_report_matches_quadrature_oracle(law, floor, tail):
+    family, params = law
+    rep = moment_report(AppetiteDistribution(family, params, floor=floor, tail_exponent=tail))
+    mean, m2, upper = (oracle_moment(family, params, floor, q) for q in (1.0, 2.0, 2.0 + tail))
+    want = {"mean": mean, "variance": m2 - mean * mean if math.isfinite(m2) else math.inf,
+            "upper_moment": upper}
+    assert rep.finite == math.isfinite(upper)
+    for name, value in want.items():
+        got = getattr(rep, name)
+        assert math.isinf(got) == math.isinf(value), name
+        assert got == pytest.approx(value, rel=1e-9), name
+
+
+def test_import_leaves_out_quadrature_and_optimizers():
+    code = "import sys, allocperc; print(' '.join(sorted(sys.modules)))"
+    src = str(Path(allocperc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    modules = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env=env).stdout.split()
+    assert "allocperc" in modules
+    assert "scipy.integrate" not in modules and "scipy.optimize" not in modules

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from allocperc.appetite import AppetiteDistribution, moment_report
 from allocperc.bounds import (
     BoundsError,
     PhaseParams,
@@ -77,6 +78,15 @@ def test_classify_phase():
     assert classify_phase(PhaseParams(1.0, 0.5, 1.0)) == "subcritical"
     assert classify_phase(PhaseParams(2.0, 0.5, 1.0)) == "critical"
     assert classify_phase(PhaseParams(1.0, 3.0, 1.0)) == "supercritical"
+
+
+@pytest.mark.parametrize("family, params", [
+    ("lognormal", {"mu": -0.5, "sigma": 1.0}),
+    ("exponential", {"mean": 1.0}),
+], ids=["lognormal", "exponential"])
+def test_unit_mean_laws_are_critical(family, params):
+    mean = moment_report(AppetiteDistribution(family, params)).mean
+    assert classify_phase(PhaseParams(1.0, 1.0, mean)) == "critical"
 
 
 def test_finiteness_threshold_values():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,19 @@ def test_bounds_outputs(cfg_file, tmp_path):
     assert main(["bounds", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
     assert read_csv(out / "poisson_bounds.csv")[0] == ["mean", "threshold", "bound"]
     assert read_csv(out / "sum_bounds.csv")[0] == ["n", "threshold", "bound"]
+
+
+def test_bounds_lognormal_with_floor_keeps_the_nagaev_table(tmp_path):
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text(BASE_CFG + "sides = 10,10\nboundary = open\nfamily = lognormal\n"
+                   "lognormal_mu = 0\nlognormal_sigma = 1\nfloor = 0.3\ntail_exponent = 2\n")
+    out = tmp_path / "r"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert not caught
+    assert len(read_csv(out / "sum_bounds.csv")) == 1 + 12
+    assert json.loads((out / "manifest.json").read_text())["extras"]["moments"]["finite"]
 
 
 def test_missing_config_file_is_config_error(tmp_path):
