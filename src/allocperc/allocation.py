@@ -26,7 +26,6 @@ from .geometry import (
 
 UNCLAIMED = -1
 TIE = -2
-_NONE = -3  # internal: cell not currently held by any center
 
 TIE_REL_TOL = 1e-9  # times grid spacing
 PREF_K = 8  # nearest centers listed per cell
@@ -154,9 +153,9 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     current and next candidate are equidistant within tolerance end TIE.
 
     Centers are ranked by (distance, index). A cell's next candidate is the
-    first center after its last rejection that is not full or holds it
-    within its cutoff, taken from the certified prefix of its kd-tree list
-    of PREF_K nearest centers, or past it by one exact jump (_next_key).
+    first center after its last rejection that holds it within its cutoff,
+    taken from the certified prefix of its kd-tree list of PREF_K nearest
+    centers, or past it by one exact jump (_next_key).
     Only the centers that receive an applicant re-rank their cells. The
     rounds are those of the dense walk over full preference rows, so the
     result is the same, TIE cells included, and no (cells x centers) array
@@ -164,9 +163,8 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
-    status = np.full(n_cells, _NONE, dtype=np.int64)
+    status = np.full(n_cells, UNCLAIMED, dtype=np.int64)  # holder, or TIE
     if n_centers == 0:
-        status[:] = UNCLAIMED
         return AllocationResult(
             assignment=status,
             territory_volumes=np.zeros(0),
@@ -186,25 +184,24 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     step = max(1, _JUMP_BLOCK // nbr.shape[1])
     for s in range(0, n_cells, step):
         b = slice(s, s + step)
-        r, rd, rb = nearest(tree, cells[b], PREF_K, centers, domain)
-        rd[rd >= rb[:, None]] = np.inf
-        nbr[b], nbr_d[b] = r, rd
+        nbr[b], nbr_d[b], _ = nearest(tree, cells[b], PREF_K, centers, domain)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
     tie_tol = TIE_REL_TOL * grid.spacing
 
-    cand = np.zeros(n_cells, dtype=np.int64)  # current candidate (distance, center)
-    dcand = np.zeros(n_cells)
-    lo_d = np.full(n_cells, -np.inf)  # last rejection: search keys after this one
-    lo_c = np.full(n_cells, -1, dtype=np.int64)
-    held = np.zeros(n_cells, dtype=bool)
+    # A cell's key (distance, center) is its current candidate and, once
+    # rejected, its last rejection; a cell is rejected only at its candidate,
+    # so the key is where its next search starts.
+    cand = np.full(n_cells, -1, dtype=np.int64)
+    dcand = np.full(n_cells, -np.inf)
     jumped = np.zeros(n_cells, dtype=bool)
-    # A full center never again accepts strictly beyond its current worst
-    # held distance; cutoffs only shrink, so skipping on them is safe.
+    # A center is full exactly when its cutoff is finite: -inf at a zero
+    # quota, its worst held distance once full, inf while open. A full center
+    # never again accepts strictly beyond its cutoff; cutoffs only shrink, so
+    # skipping on them is safe.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
-    full = quota == 0
 
     active = np.arange(n_cells)  # cells held nowhere and undecided
     max_rounds = 10 * max(n_cells, 1)
@@ -212,16 +209,14 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         # Each cell applies to the first center after its last rejection that
         # would not reject it: from its certified list, else by a jump.
         w = max(int(plen[active].max()), 1)  # later columns hold only inf
-        col, c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], lo_d[active],
-                                     lo_c[active], full, cutoff)
+        col, c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
+                                     cand[active], cutoff)
         listed = col >= 0
         cand[active[listed]], dcand[active[listed]] = c[listed], dc[listed]
         past = active[~listed]
         if past.size:
-            c, dc = _next_key(cells[past], lo_d[past], lo_c[past], centers, domain,
-                              full, cutoff)
-            found = c >= 0
-            status[past[~found]] = UNCLAIMED  # no center would take it
+            c, dc = _next_key(cells[past], dcand[past], cand[past], centers, domain, cutoff)
+            found = c >= 0  # a cell no center would take stays UNCLAIMED
             past = past[found]
             cand[past], dcand[past] = c[found], dc[found]
             jumped[past] = True
@@ -245,31 +240,29 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         # applicants and keeps the quota nearest; no other group changes.
         touched = np.zeros(n_centers, dtype=bool)
         touched[cand[fresh]] = True
-        pool = np.r_[fresh, np.flatnonzero(held & touched[cand])]
+        claimed = np.flatnonzero(status >= 0)
+        pool = np.r_[fresh, claimed[touched[status[claimed]]]]
         pool = pool[np.lexsort((pool, dcand[pool], cand[pool]))]
         gc = cand[pool]
         new = np.r_[True, gc[1:] != gc[:-1]]
         starts = np.flatnonzero(new)
         rank = np.arange(pool.size) - starts[np.cumsum(new) - 1]
         keep = rank < quota[gc]
-        held[pool[keep]] = True
+        status[pool[keep]] = gc[keep]
         active = pool[~keep]
-        held[active] = False
-        lo_d[active], lo_c[active] = dcand[active], cand[active]
+        status[active] = UNCLAIMED
 
         # Group sizes / new cutoffs for the next round's candidates.
         heads = gc[starts]
         sizes = np.diff(np.r_[starts, pool.size])
-        full[heads] = sizes >= quota[heads]
         worst = dcand[pool[starts + np.minimum(sizes, quota[heads]) - 1]]
-        cutoff[heads] = np.where(full[heads], worst, np.inf)
+        cutoff[heads] = np.where(sizes >= quota[heads], worst, np.inf)
 
         if active.size == 0:
             break
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
 
-    status[held] = cand[held]
     counts = np.bincount(status[status >= 0], minlength=n_centers)
     volumes = counts * hd
     # Satedness tolerant to one-cell quantization of the last shell.
@@ -283,16 +276,16 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     )
 
 
-def _first_eligible(c, d, lo_d, lo_c, full, cutoff):
+def _first_eligible(c, d, lo_d, lo_c, cutoff):
     """Over rows of candidate centers c at distances d, each row ordered by
     (distance, index), the first key after the row's key (lo_d, lo_c) whose
-    center is not full or holds it within its cutoff.
+    center holds it within its cutoff.
 
     Returns (column, center, distance), with column and center -1 and
     distance inf where none is.
     """
     ld, lc = lo_d[:, None], lo_c[:, None]
-    ok = (~full[c] | (d <= cutoff[c])) & ((d > ld) | ((d == ld) & (c > lc)))
+    ok = (d <= cutoff[c]) & ((d > ld) | ((d == ld) & (c > lc)))
     d = np.where(ok, d, np.inf)
     j = np.argmin(d, axis=1)  # first of equal distances: the lower index
     rows = np.arange(len(j))
@@ -301,23 +294,23 @@ def _first_eligible(c, d, lo_d, lo_c, full, cutoff):
     return np.where(hit, j, -1), np.where(hit, c[rows, j], -1), dj
 
 
-def _next_key(pts, lo_d, lo_c, centers, domain, full, cutoff):
+def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
     """For each point, the first center after its key (lo_d, lo_c) in
-    (distance, index) order that is not full or holds it within its cutoff;
-    (-1, inf) where none is.
+    (distance, index) order that holds it within its cutoff; (-1, inf) where
+    none is. A center is full exactly when its cutoff is finite.
 
     A cell is rejected only by a full center and skips only full ones, and a
     full center stays full, so every center at or before its key is full.
     The answer is then the smaller key of (A) the nearest center not full:
     the first entry of a geometry.nearest row over those centers, k doubling
-    from 2 until that entry lies below the row's bound; and (B) the nearest
-    full center whose cutoff ball, queried in a kd-tree of the points, holds
-    the point at a key after (lo_d, lo_c). Both run in blocks of about
+    from 2 until that entry is finite (below the row's bound); and (B) the
+    nearest full center whose cutoff ball, queried in a kd-tree of the points,
+    holds the point at a key after (lo_d, lo_c). Both run in blocks of about
     _JUMP_BLOCK pairs.
     """
     best_c = np.full(len(pts), -1, dtype=np.int64)
     best_d = np.full(len(pts), np.inf)
-    open_ = np.flatnonzero(~full)
+    open_ = np.flatnonzero(cutoff == np.inf)
     if open_.size:
         others = centers[open_]
         tree = kd_tree(others, domain)
@@ -326,14 +319,14 @@ def _next_key(pts, lo_d, lo_c, centers, domain, full, cutoff):
             again, step = [], max(1, _JUMP_BLOCK // k)
             for s in range(0, todo.size, step):
                 b = todo[s:s + step]
-                nbr, d, bound = nearest(tree, pts[b], k, others, domain)
-                done = d[:, 0] < bound
+                nbr, d, _ = nearest(tree, pts[b], k, others, domain)
+                done = d[:, 0] < np.inf
                 best_c[b[done]], best_d[b[done]] = open_[nbr[done, 0]], d[done, 0]
                 again.append(b[~done])
             todo, k = np.concatenate(again), 2 * k
 
     # Only a cutoff at or past some point's key can hold that point after it.
-    g = np.flatnonzero(full & (cutoff >= max(lo_d.min(), 0.0)))
+    g = np.flatnonzero((cutoff < np.inf) & (cutoff >= max(lo_d.min(), 0.0)))
     if g.size == 0:
         return best_c, best_d
     tree = kd_tree(pts, domain)
@@ -406,10 +399,7 @@ def verify_stability(
     assigned_dist[claimed] = dist[claimed, assign[claimed]]
 
     farthest = np.full(config.n_centers, -np.inf)
-    for c in range(config.n_centers):
-        terr = assign == c
-        if np.any(terr):
-            farthest[c] = dist[terr, c].max()
+    np.maximum.at(farthest, assign[claimed], assigned_dist[claimed])
 
     desire = dist < assigned_dist[:, None]
     covet = (~result.sated)[None, :] | (dist < farthest[None, :])

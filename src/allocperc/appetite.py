@@ -102,7 +102,8 @@ def sample_appetite(dist: AppetiteDistribution, rng: np.random.Generator) -> flo
 
 def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
     """E[max(V, floor)^order] = floor^q P[V <= floor] + E[V^q; V > floor] in
-    closed form (q = order < index for a Pareto law); inf past the float range."""
+    closed form; inf for a Pareto law with order >= index, and past the float
+    range."""
     p, f, q = dist.params, dist.floor, order
     try:
         if dist.family == "constant":
@@ -113,6 +114,8 @@ def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
             tail = math.exp(q * math.log(p["mean"]) + math.lgamma(q + 1.0)) * float(
                 gammaincc(q + 1.0, f / p["mean"]))
         elif dist.family == "pareto":  # a x_m^a g^(q - a) / (a - q), g = max(f, x_m)
+            if q >= p["index"]:
+                return math.inf
             g = max(f, p["scale"])
             tail = p["index"] / (p["index"] - q) * g ** q * (p["scale"] / g) ** p["index"]
         else:  # e^(q mu + q^2 sigma^2 / 2) Phi(q sigma - z), z = (ln f - mu) / sigma
@@ -148,21 +151,12 @@ class MomentReport:
 def moment_report(dist: AppetiteDistribution) -> MomentReport:
     """Moments of the floor-truncated base variable max(V, floor).
 
-    upper_moment is the (2 + tail_exponent)-moment; finite=False flags a
-    Pareto tail too heavy for it (index <= 2 + tail_exponent), in which case
-    upper_moment is reported as inf.
+    upper_moment is the (2 + tail_exponent)-moment, inf when it is infinite
+    (a Pareto index <= 2 + tail_exponent) or past the float range; finite
+    flags it finite. The variance is finite whenever E[max(V, floor)^2] is.
     """
-    order = 2.0 + dist.tail_exponent
-    if dist.family == "pareto" and dist.params["index"] <= order:
-        mean = _truncated_moment(dist, 1.0) if dist.params["index"] > 1 else math.inf
-        var = math.inf
-        if dist.params["index"] > 2:
-            m2 = _truncated_moment(dist, 2.0)
-            var = m2 - mean * mean
-        return MomentReport(mean=mean, variance=var, upper_moment=math.inf, finite=False)
     mean = _truncated_moment(dist, 1.0)
     m2 = _truncated_moment(dist, 2.0)
-    upper = _truncated_moment(dist, order)
-    if not math.isfinite(upper):
-        return MomentReport(mean=mean, variance=math.inf, upper_moment=math.inf, finite=False)
-    return MomentReport(mean=mean, variance=max(m2 - mean * mean, 0.0), upper_moment=upper, finite=True)
+    upper = _truncated_moment(dist, 2.0 + dist.tail_exponent)
+    var = max(m2 - mean * mean, 0.0) if math.isfinite(m2) else math.inf
+    return MomentReport(mean=mean, variance=var, upper_moment=upper, finite=math.isfinite(upper))

@@ -91,14 +91,12 @@ def _sweep(tree, own: np.ndarray, k: int, config: PointConfiguration, domain: Do
     """First root of each center's appetite step function over its row of k
     nearest centers, and the row's bound.
 
-    The breakpoints are half distances. Entries at or past the bound get
-    distance inf and appetite 0, so they add nothing and open no interval;
-    a root r is the true one when 2r < bound.
+    The breakpoints are half distances. Entries at or past the bound have
+    distance inf (geometry.nearest) and get appetite 0, so they add nothing
+    and open no interval; a root r is the true one when 2r < bound.
     """
     nbr, sd, bound = nearest(tree, config.centers[own], k, config.centers, domain)
-    past = sd >= bound[:, None]
-    sd[past] = np.inf
-    cum = np.cumsum(np.where(past, 0.0, config.appetites[nbr]), axis=1)
+    cum = np.cumsum(np.where(sd < np.inf, config.appetites[nbr], 0.0), axis=1)
     starts = sd / 2.0
     ends = np.hstack([starts[:, 1:], np.full((len(own), 1), np.inf)])
     roots = (cum / pi_d) ** (1.0 / domain.dim)

@@ -194,7 +194,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     _write_csv(out / "poisson_bounds.csv", ["mean", "threshold", "bound"], rows)
 
     rows = []
-    if report.finite and report.variance > 0:
+    if report.finite and report.variance > 0 and report.upper_moment > 0:
         for n in (10, 100, 1000):
             for x in (1.0, 5.0, 25.0, 125.0):
                 rows.append([

@@ -98,7 +98,7 @@ def kd_tree(points: np.ndarray, domain: Domain) -> cKDTree:
 def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: Domain):
     """Each point's k nearest of others (the points of tree) in (distance,
     index) order, their distances, and the bound below which the row holds
-    every point of others.
+    every point of others; distances at or past the bound read inf.
 
     The tree only selects neighbours; distances are recomputed as in
     pairwise_distances and sorted stably over index-sorted neighbours, so a
@@ -117,7 +117,9 @@ def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: 
     # Tree and recomputed distances differ by rounding only, so a point
     # missing from a row is no nearer than its farthest entry less 1e-12.
     far = dist[:, -1]
-    return nbr, dist, far - 1e-12 * np.maximum(far, 1.0)
+    bound = far - 1e-12 * np.maximum(far, 1.0)
+    dist[dist >= bound[:, None]] = np.inf
+    return nbr, dist, bound
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .allocation import TIE, PointConfiguration, SiteGrid, gale_shapley, verify_stability
 from .appetite import AppetiteDistribution, sample_appetites
-from .booleanmodel import build_boolean, check_domination, compute_radius
+from .booleanmodel import BooleanModel, build_boolean, check_domination, compute_radius
 from .bounds import poisson_chernoff
 from .geometry import Domain, distance, replica_rng, sample_poisson, unit_ball_volume
 from .percolation import ball_components, map_ordered, mask_components
@@ -223,8 +223,6 @@ def _check_ball_components(seed: int) -> CheckResult:
         if len(centers) == 0:
             continue
         radii = rng.uniform(0.2, 0.8, size=len(centers))
-        from .booleanmodel import BooleanModel
-
         model = BooleanModel(centers=centers, radii=radii, min_radius=0.2,
                              truncated=np.zeros(len(radii), dtype=bool))
         fast = ball_components(model, domain).labels

@@ -425,7 +425,7 @@ def test_first_eligible_takes_the_next_key_in_distance_index_order():
     d = np.array([[1.0, 1.0, 1.5]] * 4)
     lo_d = np.array([1.0, 1.0, -np.inf, 1.5])
     lo_c = np.array([0, 2, -1, 3])
-    got = allocation._first_eligible(c, d, lo_d, lo_c, full, cutoff)
+    got = allocation._first_eligible(c, d, lo_d, lo_c, cutoff)
     assert [g.tolist() for g in got] == [[1, 2, 0, -1], [2, 3, 0, -1],
                                          [1.0, 1.5, 1.0, np.inf]]
 
@@ -491,8 +491,8 @@ def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block,
                 (replica_rng(17).random(len(pts)) * (first_open + 1)).astype(np.int64) - 1):
         lo_d = np.where(pos >= 0, sd[rows, np.maximum(pos, 0)], -np.inf)
         lo_c = np.where(pos >= 0, order[rows, np.maximum(pos, 0)], -1)
-        _, want_c, want_d = allocation._first_eligible(order, sd, lo_d, lo_c, full, cutoff)
-        got_c, got_d = allocation._next_key(pts, lo_d, lo_c, centers, dom, full, cutoff)
+        _, want_c, want_d = allocation._first_eligible(order, sd, lo_d, lo_c, cutoff)
+        got_c, got_d = allocation._next_key(pts, lo_d, lo_c, centers, dom, cutoff)
         assert np.array_equal(got_c, want_c) and np.array_equal(got_d, want_d)
         if case == "none eligible":
             assert np.all(got_c == -1) and np.all(got_d == np.inf)

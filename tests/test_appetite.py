@@ -12,6 +12,7 @@ import allocperc
 from allocperc.appetite import (
     AppetiteConfigError,
     AppetiteDistribution,
+    _truncated_moment,
     moment_report,
     sample_appetite,
     sample_appetites,
@@ -118,6 +119,16 @@ def test_moment_report_heavy_pareto_flags_divergence():
     rep = moment_report(dist)
     assert not rep.finite
     assert rep.upper_moment == math.inf
+    # an order at or past the index diverges; a negative "moment" is wrong
+    light = AppetiteDistribution("pareto", {"scale": 1.0, "index": 0.8})
+    assert _truncated_moment(light, 1.0) == _truncated_moment(light, 0.8) == math.inf
+
+
+def test_moment_report_variance_survives_an_overflowing_upper_moment():
+    # lognormal(0, 15): E[V^2] = e^450 is a float, E[V^3] = e^1012.5 is not
+    rep = moment_report(AppetiteDistribution("lognormal", {"mu": 0.0, "sigma": 15.0}))
+    assert not rep.finite and rep.upper_moment == math.inf
+    assert rep.variance == pytest.approx(math.exp(450.0) - math.exp(225.0), rel=1e-12)
 
 
 def test_empirical_upper_moment_matches_report():

@@ -246,20 +246,22 @@ _OVERFLOWING = {
     "exponential-1e200": "family = exponential\nmean = 1e200\n",
     "constant-1e309": "family = constant\nvalue = 1e308\nscale = 10\n",
     "lognormal-1000": "family = lognormal\nlognormal_sigma = 1000\n",
+    "exponential-1e-5-delta-100": "family = exponential\nmean = 1e-5\ntail_exponent = 100\n",
 }
 
 
 @pytest.mark.parametrize("extra", _OVERFLOWING.values(), ids=_OVERFLOWING.keys())
 @pytest.mark.parametrize("subcommand", ["allocate", "percolate", "sweep", "bounds"])
 def test_overflowing_appetites_exit_0(subcommand, extra, tmp_path):
-    # appetites or moments beyond the int64 and float ranges
+    # appetites or moments beyond the int64 and float ranges, or a moment
+    # that underflows to 0
     cfg = tmp_path / "o.cfg"
     cfg.write_text(BASE_CFG + "sides = 4,4\nboundary = open\n" + extra)
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r"),
                  "--scale-grid", "0.2:1.0:0.4"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("extra, code", zip(_OVERFLOWING.values(), [EXIT_CONFIG] * 3 + [EXIT_OK]),
+@pytest.mark.parametrize("extra, code", zip(_OVERFLOWING.values(), [EXIT_CONFIG] * 3 + [EXIT_OK] * 2),
                          ids=_OVERFLOWING.keys())
 def test_overflowing_appetites_boolean(extra, code, tmp_path):
     # infinite appetites give infinite radii; the kernel stops once a row
@@ -297,6 +299,8 @@ _CONFIG_VALUES = {
     "intensity": ["0.5", "1.0", "0", "nan"],
     "family": ["constant", "exponential", "pareto", "lognormal", "bogus"],
     "pareto_index": ["0.5", "3.5", "-1"],
+    "mean": ["1.0", "1e-5", "1e200"],
+    "tail_exponent": ["1", "100"],
     "scale": ["0.05", "0.5", "2", "0", "-1", "nan", "inf"],
     "floor": ["0", "0.5", "1", "-1", "nan"],
     "spacing": ["0.5", "1", "0.3", "0", "x"],

@@ -158,5 +158,6 @@ def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
             m = np.count_nonzero(dist[i] < bound[i])
             assert np.array_equal(nbr[i, :m], order[i, :m])
             assert np.array_equal(dist[i, :m], sd[i, :m])
+            assert np.all(np.isinf(dist[i, m:]))
             # every center nearer than the bound is in the row
             assert np.count_nonzero(dense[i] < bound[i]) == m
