@@ -16,12 +16,12 @@ from .appetite import AppetiteDistribution, sample_appetites
 from .geometry import (
     Domain,
     GeometryError,
-    distance,
     kd_tree,
-    nearest,
+    nearest_until,
     pairwise_distances,
     replica_rng,
     sample_poisson,
+    within,
 )
 
 UNCLAIMED = -1
@@ -29,7 +29,6 @@ TIE = -2
 
 TIE_REL_TOL = 1e-9  # times grid spacing
 PREF_K = 8  # nearest centers listed per cell
-_JUMP_BLOCK = 1 << 20  # cell-center pairs per block of a jump or a list build
 
 
 class AllocationError(RuntimeError):
@@ -181,10 +180,12 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     # Each cell's k-nearest list, built in blocks; inf past its certified prefix.
     nbr = np.zeros((n_cells, min(PREF_K, n_centers)), dtype=np.int64)
     nbr_d = np.empty(nbr.shape)
-    step = max(1, _JUMP_BLOCK // nbr.shape[1])
-    for s in range(0, n_cells, step):
-        b = slice(s, s + step)
-        nbr[b], nbr_d[b], _ = nearest(tree, cells[b], PREF_K, centers, domain)
+
+    def store(rows, c, d, bound, k):
+        nbr[rows], nbr_d[rows] = c, d
+        return np.ones(len(rows), dtype=bool)
+
+    nearest_until(tree, cells, centers, domain, store, k=PREF_K)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
 
     hd = grid.cell_volume
@@ -302,52 +303,36 @@ def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
     A cell is rejected only by a full center and skips only full ones, and a
     full center stays full, so every center at or before its key is full.
     The answer is then the smaller key of (A) the nearest center not full:
-    the first entry of a geometry.nearest row over those centers, k doubling
-    from 2 until that entry is finite (below the row's bound); and (B) the
-    nearest full center whose cutoff ball, queried in a kd-tree of the points,
-    holds the point at a key after (lo_d, lo_c). Both run in blocks of about
-    _JUMP_BLOCK pairs.
+    the first entry of its geometry.nearest_until row over those centers,
+    settled once that entry is finite (below the row's bound); and (B) the
+    nearest full center whose cutoff ball (geometry.within, over a kd-tree of
+    the points) holds the point at a key after (lo_d, lo_c).
     """
     best_c = np.full(len(pts), -1, dtype=np.int64)
     best_d = np.full(len(pts), np.inf)
     open_ = np.flatnonzero(cutoff == np.inf)
+
+    def first(rows, nbr, d, bound, k):
+        done = d[:, 0] < np.inf
+        best_c[rows[done]], best_d[rows[done]] = open_[nbr[done, 0]], d[done, 0]
+        return done
+
     if open_.size:
-        others = centers[open_]
-        tree = kd_tree(others, domain)
-        todo, k = np.arange(len(pts)), 2
-        while todo.size:
-            again, step = [], max(1, _JUMP_BLOCK // k)
-            for s in range(0, todo.size, step):
-                b = todo[s:s + step]
-                nbr, d, _ = nearest(tree, pts[b], k, others, domain)
-                done = d[:, 0] < np.inf
-                best_c[b[done]], best_d[b[done]] = open_[nbr[done, 0]], d[done, 0]
-                again.append(b[~done])
-            todo, k = np.concatenate(again), 2 * k
+        nearest_until(kd_tree(centers[open_], domain), pts, centers[open_], domain, first)
 
     # Only a cutoff at or past some point's key can hold that point after it.
     g = np.flatnonzero((cutoff < np.inf) & (cutoff >= max(lo_d.min(), 0.0)))
     if g.size == 0:
         return best_c, best_d
-    tree = kd_tree(pts, domain)
-    r = cutoff[g] * (1.0 + 1e-9)  # tree distances are off by rounding only
-    n = tree.query_ball_point(centers[g], r, return_length=True)  # a center at L is fine
-    g, r, n = g[n > 0], r[n > 0], n[n > 0]
-    cum = np.cumsum(n)
-    s = 0
-    while s < g.size:  # blocks of at most _JUMP_BLOCK hits, or one center
-        e = max(s + 1, int(np.searchsorted(cum, cum[s] - n[s] + _JUMP_BLOCK, "right")))
-        p = np.concatenate(tree.query_ball_point(centers[g[s:e]], r[s:e])).astype(np.int64)
-        c = np.repeat(g[s:e], n[s:e])
-        d = distance(pts[p], centers[c], domain)
-        ok = (d <= cutoff[c]) & ((d > lo_d[p]) | ((d == lo_d[p]) & (c > lo_c[p])))
+    for i, p, d in within(kd_tree(pts, domain), centers[g], cutoff[g], pts, domain):
+        c = g[i]
+        ok = (d > lo_d[p]) | ((d == lo_d[p]) & (c > lo_c[p]))
         o = np.flatnonzero(ok)
         o = o[np.lexsort((c[o], d[o], p[o]))]
         o = o[np.unique(p[o], return_index=True)[1]]  # each point's smallest key
         p, c, d = p[o], c[o], d[o]
         better = (d < best_d[p]) | ((d == best_d[p]) & (c < best_c[p]))
         best_c[p[better]], best_d[p[better]] = c[better], d[better]
-        s = e
     return best_c, best_d
 
 
@@ -359,23 +344,15 @@ def _tied_past_list(tree, pts, d, c, tol, centers, domain):
     rounding, far below tol). The rest recompute the distances of their
     neighbours within d + 2 tol.
     """
-    tied = np.zeros(len(pts), dtype=bool)
-    if len(pts) == 0:
-        return tied
     hi = d + 2.0 * tol
     n_hi = tree.query_ball_point(pts, hi, return_length=True)
     n_lo = tree.query_ball_point(pts, np.maximum(d - tol, 0.0), return_length=True)
     many = np.flatnonzero(n_hi - np.where(d - tol >= 0.0, n_lo, 0) > 1)
-    if many.size == 0:
-        return tied
-    lists = tree.query_ball_point(pts[many], hi[many])
-    owner = np.repeat(np.arange(many.size), [len(x) for x in lists])
-    other = np.concatenate(lists).astype(np.int64)
-    r = distance(pts[many][owner], centers[other], domain)
-    dd, cc = d[many][owner], c[many][owner]
-    later = (r > dd) | ((r == dd) & (other > cc))
-    tied[many] = np.bincount(owner, weights=later & (r - dd < tol),
-                             minlength=many.size) > 0
+    tied = np.zeros(len(pts), dtype=bool)
+    for i, other, r in within(tree, pts[many], hi[many], centers, domain):
+        m = many[i]
+        later = (r > d[m]) | ((r == d[m]) & (other > c[m]))
+        tied[m[later & (r - d[m] < tol)]] = True
     return tied
 
 

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, nearest, unit_ball_volume
-
-_SWEEP_BLOCK = 1 << 20  # row entries per block of the breakpoint sweep
+from .geometry import Domain, distance, kd_tree, nearest_until, unit_ball_volume
 
 
 class BooleanModelError(ValueError):
@@ -57,56 +55,38 @@ def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray) -> np.n
     """Dominating radii of the centers rows.
 
     A radius r depends only on the centers within 2r, so each center sweeps
-    its row of k nearest centers (geometry.nearest), exact below the row's
-    bound. k starts at 2, the center and its nearest neighbour, and doubles
-    until the row's first root r has 2r < bound, or the row holds every
-    center. Each pass sweeps all pending centers at once, in blocks of
-    _SWEEP_BLOCK // k rows. A row holds the distances of the dense matrix
-    in (distance, index) order, so ties and floats match a full-row sweep.
+    its row of k nearest centers (geometry.nearest_until), exact below the
+    row's bound. k starts at 2, the center and its nearest neighbour, and
+    doubles until the row's first root r has 2r < bound, or the row holds
+    every center. A row holds the distances of the dense matrix in
+    (distance, index) order, so ties and floats match a full-row sweep.
     """
     _require_floor(config)
-    n = config.n_centers
     pi_d = unit_ball_volume(domain.dim)
-    tree = kd_tree(config.centers, domain)
     out = np.empty(len(rows))
-    todo = np.arange(len(rows))
-    k = 2
-    while todo.size:
-        step = max(1, _SWEEP_BLOCK // k)
-        again = []
-        for s in range(0, todo.size, step):
-            b = todo[s:s + step]
-            r, bound = _sweep(tree, rows[b], k, config, domain, pi_d)
-            # A full row is final even where an infinite appetite gives r = inf.
-            done = (2.0 * r < bound) | (k >= n)
-            out[b[done]] = r[done]
-            again.append(b[~done])
-        todo = np.concatenate(again)
-        k *= 2
+
+    def sweep(own, nbr, sd, bound, k):
+        # The breakpoints are half distances. Entries at or past the bound
+        # have distance inf and get appetite 0, so they add nothing and open
+        # no interval.
+        cum = np.cumsum(np.where(sd < np.inf, config.appetites[nbr], 0.0), axis=1)
+        starts = sd / 2.0
+        ends = np.hstack([starts[:, 1:], np.full((len(own), 1), np.inf)])
+        roots = (cum / pi_d) ** (1.0 / domain.dim)
+        # Coincident breakpoints give empty intervals; skip them so the sum is
+        # the true closed-ball sum at the returned radius. The last entry ends
+        # at inf, so every row has a root.
+        first = np.argmax((roots < ends) & (starts < ends), axis=1)[:, None]
+        r = np.maximum(np.take_along_axis(starts, first, axis=1),
+                       np.take_along_axis(roots, first, axis=1))[:, 0]
+        # A full row is final even where an infinite appetite gives r = inf.
+        done = (2.0 * r < bound) | (bound == np.inf)
+        out[own[done]] = r[done]
+        return done
+
+    centers = config.centers
+    nearest_until(kd_tree(centers, domain), centers[rows], centers, domain, sweep)
     return out
-
-
-def _sweep(tree, own: np.ndarray, k: int, config: PointConfiguration, domain: Domain,
-           pi_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """First root of each center's appetite step function over its row of k
-    nearest centers, and the row's bound.
-
-    The breakpoints are half distances. Entries at or past the bound have
-    distance inf (geometry.nearest) and get appetite 0, so they add nothing
-    and open no interval; a root r is the true one when 2r < bound.
-    """
-    nbr, sd, bound = nearest(tree, config.centers[own], k, config.centers, domain)
-    cum = np.cumsum(np.where(sd < np.inf, config.appetites[nbr], 0.0), axis=1)
-    starts = sd / 2.0
-    ends = np.hstack([starts[:, 1:], np.full((len(own), 1), np.inf)])
-    roots = (cum / pi_d) ** (1.0 / domain.dim)
-    # Coincident breakpoints give empty intervals; skip them so the sum is
-    # the true closed-ball sum at the returned radius. The last entry ends
-    # at inf, so every row has a root.
-    first = np.argmax((roots < ends) & (starts < ends), axis=1)[:, None]
-    r = np.maximum(np.take_along_axis(starts, first, axis=1),
-                   np.take_along_axis(roots, first, axis=1))[:, 0]
-    return r, bound
 
 
 def compute_radius(
@@ -166,18 +146,11 @@ def check_domination(
         raise BooleanModelError("model and configuration sizes disagree")
     cells = grid.cell_centers()
     slack = grid.spacing * math.sqrt(grid.domain.dim)
-    violations = []
-    assign = alloc.assignment
-    claimed = assign >= 0
-    if not np.any(claimed):
-        return violations
-    cidx = np.flatnonzero(claimed)
-    owners = assign[claimed]
-    dist_own = distance(cells[claimed], config.centers[owners], grid.domain)
+    cidx = np.flatnonzero(alloc.assignment >= 0)
+    owners = alloc.assignment[cidx]
+    dist_own = distance(cells[cidx], config.centers[owners], grid.domain)
     bad = dist_own > model.radii[owners] + slack
-    for cell, owner in zip(cidx[bad], owners[bad]):
-        violations.append((int(cell), int(owner)))
-    return violations
+    return list(zip(cidx[bad].tolist(), owners[bad].tolist()))
 
 
 @dataclass(frozen=True)

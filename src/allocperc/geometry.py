@@ -1,4 +1,5 @@
-"""Domain primitives: boxes/tori, distances, ball volumes, Poisson sampling."""
+"""Domain primitives: boxes/tori, distances, ball volumes, Poisson sampling,
+and the blocked, exact kd-tree queries."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+BLOCK = 1 << 20  # entries (rows x k, or pairs) per block of a query; read at call time
+SLACK = 1e-9  # relative: kd-tree and recomputed distances differ by rounding only
 
 
 class GeometryError(ValueError):
@@ -120,6 +124,50 @@ def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: 
     bound = far - 1e-12 * np.maximum(far, 1.0)
     dist[dist >= bound[:, None]] = np.inf
     return nbr, dist, bound
+
+
+def nearest_until(tree, pts, others, domain, settle, k=2):
+    """Asks nearest for each point's row at k, 2k, 4k, ... until settle
+    accepts it.
+
+    settle(rows, nbr, dist, bound, k) gets the indices into pts of a block
+    of rows with their nearest(tree, pts[rows], k, others, domain) answer,
+    records what it needs and returns the mask of rows it accepts; the rest
+    are asked again at 2k. It must accept a row whose bound is inf (the row
+    holds all of others). Each pass runs in blocks of BLOCK // k rows.
+    """
+    todo = np.arange(len(pts))
+    while todo.size:
+        again, step = [], max(1, BLOCK // k)
+        for s in range(0, todo.size, step):
+            rows = todo[s:s + step]
+            done = settle(rows, *nearest(tree, pts[rows], k, others, domain), k)
+            again.append(rows[~done])
+        todo, k = np.concatenate(again), 2 * k
+
+
+def within(tree, pts, r, others, domain):
+    """The pairs (i, j) with distance(pts[i], others[j]) <= r[i], others
+    being the points of tree, as blocks of (i, j, distance) arrays.
+
+    Each point's pairs are counted first, so a block holds at most BLOCK
+    pairs, or one point's. The tree only selects candidates, at r·(1 +
+    SLACK); the recomputed distance decides.
+    """
+    reach = r * (1.0 + SLACK)
+    n = tree.query_ball_point(pts, reach, return_length=True)
+    i = np.flatnonzero(n)
+    cum = np.cumsum(n[i])
+    s = 0
+    while s < i.size:
+        e = max(s + 1, int(np.searchsorted(cum, cum[s] - n[i[s]] + BLOCK, "right")))
+        a = i[s:e]
+        j = np.concatenate(tree.query_ball_point(pts[a], reach[a])).astype(np.int64)
+        a = np.repeat(a, n[a])
+        d = distance(pts[a], others[j], domain)
+        ok = d <= r[a]
+        yield a[ok], j[ok], d[ok]
+        s = e
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:

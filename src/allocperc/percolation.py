@@ -12,6 +12,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
+from . import geometry
 from .allocation import (
     AllocationResult,
     SiteGrid,
@@ -21,9 +22,7 @@ from .allocation import (
 )
 from .appetite import AppetiteDistribution
 from .booleanmodel import BooleanModel
-from .geometry import Domain, distance, kd_tree, pairwise_distances, palm_origin
-
-_PAIR_BLOCK = 1 << 20  # center pairs per block of the origin-ball diameter
+from .geometry import SLACK, Domain, distance, kd_tree, pairwise_distances, palm_origin
 
 
 class PercolationError(ValueError):
@@ -96,7 +95,7 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     # Ball i proposes its partners within 2 r_i that precede it in (radius, index)
     # order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed distance decides.
     tree = kd_tree(centers, domain)
-    lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + 1e-9), return_sorted=False)
+    lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + SLACK), return_sorted=False)
     i = np.repeat(np.arange(model.n_balls), [len(x) for x in lists])
     j = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i))
     keep = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
@@ -115,8 +114,8 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
         oc = int(labels[np.argmax(covering)])
         sub = np.flatnonzero(labels == oc)
         max_reach = float(np.max(d_origin[sub] + radii[sub]))
-        # Largest d_ij + r_i + r_j, over row blocks of about _PAIR_BLOCK pairs.
-        step = max(1, _PAIR_BLOCK // sub.size)
+        # Largest d_ij + r_i + r_j, over row blocks of about geometry.BLOCK pairs.
+        step = max(1, geometry.BLOCK // sub.size)
         diam = max(float((pairwise_distances(centers[sub[s:s + step]], centers[sub], domain)
                           + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
                    for s in range(0, sub.size, step))
@@ -132,22 +131,6 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     )
 
 
-def _grid_neighbors(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
-    """(n_edges, 2) flat-index pairs of face-adjacent cells."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    edges = []
-    for ax in range(len(shape)):
-        a = idx
-        b = np.roll(idx, -1, axis=ax)
-        if not periodic:
-            sl = [slice(None)] * len(shape)
-            sl[ax] = slice(0, shape[ax] - 1)
-            a = idx[tuple(sl)]
-            b = np.roll(idx, -1, axis=ax)[tuple(sl)]
-        edges.append(np.stack([a.ravel(), b.ravel()], axis=1))
-    return np.concatenate(edges, axis=0)
-
-
 def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     """Face-adjacency components of a boolean cell mask over the grid."""
     shape = grid.shape
@@ -158,10 +141,21 @@ def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     on = np.flatnonzero(flat)
     if on.size == 0:
         return _empty_report(labels, grid.domain.dim)
-    remap = np.full(flat.size, -1, dtype=np.int64)
-    remap[on] = np.arange(on.size)
-    edges = _grid_neighbors(shape, grid.domain.periodic)
-    sub_labels = _components(on.size, remap[edges[flat[edges[:, 0]] & flat[edges[:, 1]]]])
+    # Face edges between masked cells: each cell and its successor along an
+    # axis, both numbered in the index grid (-1 off the mask); an open box
+    # drops the last slice, which has no successor.
+    idx = labels.copy()
+    idx[on] = np.arange(on.size)
+    idx = idx.reshape(shape)
+    edges = []
+    for ax in range(len(shape)):
+        a, b = idx, np.roll(idx, -1, axis=ax)
+        if not grid.domain.periodic:
+            cut = (slice(None),) * ax + (slice(0, -1),)
+            a, b = a[cut], b[cut]
+        both = (a >= 0) & (b >= 0)
+        edges.append(np.stack([a[both], b[both]], axis=1))
+    sub_labels = _components(on.size, np.concatenate(edges))
     labels[on] = sub_labels
 
     d = grid.domain.dim

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocperc import allocation
+from allocperc import allocation, geometry
 from allocperc.allocation import (
     TIE,
     TIE_REL_TOL,
@@ -470,10 +470,10 @@ def _jump_states(case):
     return pts, centers, dom, full, cutoff, dist
 
 
-@pytest.mark.parametrize("block", [allocation._JUMP_BLOCK, 5])
+@pytest.mark.parametrize("block", [geometry.BLOCK, 5])
 @pytest.mark.parametrize("case", ["ties", "duplicates", "near ties", "at L", "none eligible"])
 def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block, case):
-    monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
+    monkeypatch.setattr(geometry, "BLOCK", block)
     pts, centers, dom, full, cutoff, dist = _jump_states(
         "duplicates" if case == "none eligible" else case)
     if case == "none eligible":  # every center full, every cutoff short of the points
@@ -510,10 +510,10 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
     # balls hold more jumping cells than the grid has, yet the jump builds
     # at most max(block, n_cells) cell-center pairs at once
     block = 64
-    monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
+    monkeypatch.setattr(geometry, "BLOCK", block)
     sizes, inside = [], []
-    real_next_key, real_nearest = allocation._next_key, allocation.nearest
-    real_distance = allocation.distance
+    real_next_key, real_nearest = allocation._next_key, geometry.nearest
+    real_distance = geometry.distance
 
     def next_key(*args):
         inside.append(True)
@@ -534,8 +534,8 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
         return d
 
     monkeypatch.setattr(allocation, "_next_key", next_key)
-    monkeypatch.setattr(allocation, "nearest", nearest)
-    monkeypatch.setattr(allocation, "distance", distance)
+    monkeypatch.setattr(geometry, "nearest", nearest)
+    monkeypatch.setattr(geometry, "distance", distance)
     dom = Domain(sides=(8.0, 8.0), periodic=False)
     grid = SiteGrid(domain=dom, spacing=0.5)
     rng = replica_rng(23)
@@ -575,13 +575,13 @@ def test_critical_scale_resolves_past_the_list():
     assert alloc.counters["rounds"] > 1
 
 
-@pytest.mark.parametrize("block", [allocation._JUMP_BLOCK, 40])
+@pytest.mark.parametrize("block", [geometry.BLOCK, 40])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_jumps_with_ties_match_dense(monkeypatch, block, periodic):
     # a 3-D lattice with small quotas: at the shipped depth some cells jump
     # past their list and some cells tie; a block of 40 pairs builds lists
     # and jumps in many blocks
-    monkeypatch.setattr(allocation, "_JUMP_BLOCK", block)
+    monkeypatch.setattr(geometry, "BLOCK", block)
     dom = Domain(sides=(4.0,) * 3, periodic=periodic)
     grid = SiteGrid(domain=dom, spacing=0.5)
     rng = replica_rng(7, 3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from allocperc import booleanmodel
+from allocperc import geometry
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution, sample_appetites
 from allocperc.booleanmodel import (
@@ -239,7 +239,7 @@ def assert_matches_dense(config, dom, cap):
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_kernel_matches_dense_on_heavy_tails(seed, block, monkeypatch):
     if block is not None:  # a pass then spans many blocks of 1 to 10 rows
-        monkeypatch.setattr(booleanmodel, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(geometry, "BLOCK", block)
     config, dom = pareto_instance(seed)
     cap = float(np.median(dense_boolean(config, dom)[0]))
     radii = assert_matches_dense(config, dom, cap)
@@ -248,11 +248,42 @@ def test_batched_kernel_matches_dense_on_heavy_tails(seed, block, monkeypatch):
     assert np.any(radii > cap) and np.any(radii < cap)  # some radii are clipped at the cap
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_radius_memory_is_linear_on_heavy_tails(seed, monkeypatch):
+    # a Pareto index below 1 makes some rows hold every center; no geometry
+    # call of the kernel covers more than max(block, one row) entries
+    block = 64
+    monkeypatch.setattr(geometry, "BLOCK", block)
+    real_nearest, real_distance = geometry.nearest, geometry.distance
+    sizes, widths = [], []
+
+    def nearest(tree, pts, k, others, domain):
+        sizes.append(len(pts) * min(k, len(others)))
+        widths.append(min(k, len(others)))
+        return real_nearest(tree, pts, k, others, domain)
+
+    def distance(a, b, domain):
+        d = real_distance(a, b, domain)
+        sizes.append(d.size)
+        return d
+
+    monkeypatch.setattr(geometry, "nearest", nearest)
+    monkeypatch.setattr(geometry, "distance", distance)
+    config, dom = pareto_instance(seed)
+    radii = build_boolean(config, dom).radii
+    monkeypatch.undo()
+    assert np.array_equal(radii, dense_boolean(config, dom)[0])
+    n = config.n_centers
+    assert max(sizes) <= max(block, n)
+    assert max(widths) == n  # some row holds every center
+    assert sum(sizes) > 10 * n  # the kernel ran in many blocks
+
+
 @pytest.mark.parametrize("block", [None, 1, 240])
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_kernel_matches_dense_on_lattice_ties(seed, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(booleanmodel, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(geometry, "BLOCK", block)
     d = 1 + seed % 3
     periodic = bool(seed // 3 % 2)
     rng = replica_rng(seed + 700)

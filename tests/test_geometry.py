@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocperc import geometry
 from allocperc.geometry import (
     Domain,
     GeometryError,
     distance,
     kd_tree,
     nearest,
+    nearest_until,
     pairwise_distances,
     replica_rng,
     sample_poisson,
     unit_ball_volume,
+    within,
 )
 
 
@@ -161,3 +164,87 @@ def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
             assert np.all(np.isinf(dist[i, m:]))
             # every center nearer than the bound is in the row
             assert np.count_nonzero(dense[i] < bound[i]) == m
+
+
+def within_case(case, d, periodic):
+    """Query points, tree points, radii and domain for within."""
+    rng = replica_rng(31, 4 * d + 2 * periodic + ("duplicated", "at L", "zero", "slack",
+                                                  "empty").index(case))
+    sides = np.full(d, 4.0)
+    dom = Domain(sides=tuple(sides), periodic=periodic)
+    others = np.floor(rng.random((50, d)) * sides * 2) / 2  # ties on a half lattice
+    others = np.vstack([others, others[:10], others[:4]])  # some points twice or thrice
+    pts = np.vstack([others[::3], rng.random((20, d)) * sides])
+    r = rng.uniform(0.0, 1.5, len(pts))
+    if case == "at L":  # coordinates equal to the side length, on both sides
+        others[:5] = sides
+        pts[:3] = sides
+        pts[3, 0] = sides[0]
+    elif case == "zero":  # only coincident points are within 0
+        r[::2] = 0.0
+    elif case == "slack":  # radii one rounding step and 1e-10 around a distance
+        dense = pairwise_distances(pts, others, dom)
+        j = rng.integers(0, len(others), len(pts))
+        exact = dense[np.arange(len(pts)), j]
+        r = np.choose(np.arange(len(pts)) % 4,
+                      [exact, np.nextafter(exact, -np.inf), exact * (1 - 1e-10),
+                       exact * (1 + 1e-10)])
+    elif case == "empty":
+        pts, r = pts[:0], r[:0]
+    return pts, others, r, dom
+
+
+@pytest.mark.parametrize("block", [geometry.BLOCK, 5, 1])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("case", ["duplicated", "at L", "zero", "slack", "empty"])
+def test_within_yields_the_dense_pairs_in_blocks(monkeypatch, case, d, periodic, block):
+    monkeypatch.setattr(geometry, "BLOCK", block)
+    pts, others, r, dom = within_case(case, d, periodic)
+    dense = pairwise_distances(pts, others, dom).reshape(len(pts), len(others))
+    want = {(i, j): dense[i, j] for i, j in zip(*np.nonzero(dense <= r[:, None]))}
+    got, rows = {}, set()
+    for i, j, dist in within(kd_tree(others, dom), pts, r, others, dom):
+        # a block holds at most BLOCK pairs, or one point's
+        assert len(i) <= block or np.all(i == i[0])
+        assert not rows & set(i.tolist())  # a point's pairs come in one block
+        rows |= set(i.tolist())
+        for key, value in zip(zip(i.tolist(), j.tolist()), dist.tolist()):
+            assert key not in got
+            got[key] = value
+    assert got == want
+    assert case == "empty" or len(want) > len(pts)
+    if case == "zero":
+        assert any(dense[i, j] == 0.0 and r[i] == 0.0 for i, j in want)
+
+
+@pytest.mark.parametrize("block", [geometry.BLOCK, 16, 1])
+@pytest.mark.parametrize("k0", [1, 2, 8])
+def test_nearest_until_settles_each_row_once(monkeypatch, block, k0):
+    monkeypatch.setattr(geometry, "BLOCK", block)
+    dom = Domain(sides=(6.0, 6.0), periodic=False)
+    rng = replica_rng(41)
+    others = rng.random((70, 2)) * 6.0
+    pts = rng.random((90, 2)) * 6.0
+    want = rng.integers(1, 80, len(pts))  # each row settles once it holds this many
+    real_nearest = geometry.nearest
+    sizes, settled = [], []
+
+    def spy(tree, q, k, oth, domain):
+        sizes.append(len(q) * min(k, len(oth)))
+        return real_nearest(tree, q, k, oth, domain)
+
+    def settle(rows, nbr, dist, bound, k):
+        assert len(rows) == len(nbr) == len(dist) == len(bound)
+        assert np.array_equal(nbr, real_nearest(kd_tree(others, dom), pts[rows], k, others,
+                                                 dom)[0])
+        done = (np.count_nonzero(dist < np.inf, axis=1) >= want[rows]) | (bound == np.inf)
+        settled.extend(rows[done].tolist())
+        return done
+
+    monkeypatch.setattr(geometry, "nearest", spy)
+    nearest_until(kd_tree(others, dom), pts, others, dom, settle, k=k0)
+    assert sorted(settled) == list(range(len(pts)))
+    # no call covers more than max(BLOCK, one row) entries
+    assert max(sizes) <= max(block, len(others))
+    assert len(sizes) > 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from allocperc import percolation
+from allocperc import geometry, percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
@@ -287,7 +287,7 @@ def test_ball_origin_diameter_in_small_blocks(periodic, monkeypatch):
     centers = sample_poisson(dom, 1.0, rng, palm=True)  # a ball covers the origin
     model = make_model(centers, rng.uniform(0.3, 0.9, size=len(centers)))
     want = ball_components(model, dom)
-    monkeypatch.setattr(percolation, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(geometry, "BLOCK", 7)
     got = ball_components(model, dom)
     sub = np.flatnonzero(want.labels == want.origin_component)
     assert sub.size > 7
