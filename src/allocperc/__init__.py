@@ -32,7 +32,6 @@ from .bounds import (
 from .geometry import (
     Domain,
     distance,
-    pairwise_distances,
     replica_rng,
     sample_poisson,
     unit_ball_volume,

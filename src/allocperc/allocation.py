@@ -16,9 +16,9 @@ from .appetite import AppetiteDistribution, sample_appetites
 from .geometry import (
     Domain,
     GeometryError,
+    distance,
     kd_tree,
     nearest_until,
-    pairwise_distances,
     replica_rng,
     sample_poisson,
     within,
@@ -368,7 +368,7 @@ def verify_stability(
     if config.n_centers == 0:
         return []
     cells = grid.cell_centers()
-    dist = pairwise_distances(cells, config.centers, grid.domain)
+    dist = distance(cells[:, None], config.centers[None], grid.domain)
     assign = result.assignment
 
     assigned_dist = np.full(len(cells), np.inf)

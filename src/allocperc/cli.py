@@ -176,11 +176,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
           f"{r.ci_high:.6g}", f"{r.mean_claimed_fraction:.6g}"] for r in result.rows],
     )
     extras = {"bracket": list(result.bracket) if result.bracket else None}
-    probs = np.asarray([r.crossing_probability for r in result.rows])
-    if np.any(np.diff(result.indicators.sum(axis=1)) < 0):
-        _log("sweep: coupled crossing indicators decreased along the grid")
+    ind = result.indicators  # (n_scales, replicas)
+    if np.any(ind[:-1] & ~ind[1:]):
+        _log("sweep: a replica's coupled crossing indicator switched off along the grid")
         return EXIT_INVARIANT, extras
-    _log(f"sweep: {len(probs)} scales, bracket {result.bracket}")
+    _log(f"sweep: {len(result.rows)} scales, bracket {result.bracket}")
     return EXIT_OK, extras
 
 

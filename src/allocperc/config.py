@@ -134,8 +134,8 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         raise ConfigError(f"unsupported config_version {version}")
 
     d = as_int("dimension")
-    if d < 1:
-        raise ConfigError("dimension must be >= 1")
+    if not 1 <= d <= 32:  # numpy's meshgrid, behind the cell centers, takes at most 32 axes
+        raise ConfigError(f"dimension must be between 1 and 32, got {d}")
     sides_text = str(merged["sides"])
     try:
         sides = tuple(float(s) for s in sides_text.split(","))

@@ -82,13 +82,6 @@ def distance(a: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def pairwise_distances(points: np.ndarray, others: np.ndarray, domain: Domain) -> np.ndarray:
-    """(n, m) distance matrix between two point sets."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    oth = np.atleast_2d(np.asarray(others, dtype=float))
-    return distance(pts[:, None, :], oth[None, :, :], domain)
-
-
 def kd_tree(points: np.ndarray, domain: Domain) -> cKDTree:
     """kd-tree over the points, with periodic topology on a torus."""
     if not domain.periodic:
@@ -104,9 +97,9 @@ def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: 
     index) order, their distances, and the bound below which the row holds
     every point of others; distances at or past the bound read inf.
 
-    The tree only selects neighbours; distances are recomputed as in
-    pairwise_distances and sorted stably over index-sorted neighbours, so a
-    row matches the start of the dense (distance, index) row up to the bound.
+    The tree only selects neighbours; distances are recomputed by distance,
+    as in the dense matrix, and sorted stably over index-sorted neighbours, so
+    a row matches the start of the dense (distance, index) row up to the bound.
     The bound is inf when the row holds all of others.
     """
     k = min(k, len(others))

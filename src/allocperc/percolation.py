@@ -22,7 +22,7 @@ from .allocation import (
 )
 from .appetite import AppetiteDistribution
 from .booleanmodel import BooleanModel
-from .geometry import SLACK, Domain, distance, kd_tree, pairwise_distances, palm_origin
+from .geometry import SLACK, Domain, distance, kd_tree, palm_origin
 
 
 class PercolationError(ValueError):
@@ -116,7 +116,7 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
         max_reach = float(np.max(d_origin[sub] + radii[sub]))
         # Largest d_ij + r_i + r_j, over row blocks of about geometry.BLOCK pairs.
         step = max(1, geometry.BLOCK // sub.size)
-        diam = max(float((pairwise_distances(centers[sub[s:s + step]], centers[sub], domain)
+        diam = max(float((distance(centers[sub[s:s + step], None], centers[sub][None], domain)
                           + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
                    for s in range(0, sub.size, step))
     else:
@@ -217,7 +217,7 @@ def _component_diameter(member: np.ndarray, grid: SiteGrid) -> float:
     pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=torus.shape,
                           axes=range(grid.domain.dim)).ravel() > 0.5
     cells = torus.cell_centers()
-    return float(pairwise_distances(cells[:1], cells[pairs], torus.domain).max()
+    return float(distance(cells[0], cells[pairs], torus.domain).max()
                  + grid.spacing * math.sqrt(grid.domain.dim))
 
 

@@ -134,141 +134,107 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
-def _check_stability(seed: int) -> CheckResult:
-    """Stability of deferred acceptance on random instances."""
-    fails = 0
-    n_inst = 20
-    for i in range(n_inst):
-        rng = replica_rng(seed, i)
-        domain = Domain(sides=(8.0, 8.0), periodic=bool(i % 2))
-        grid = SiteGrid(domain=domain, spacing=0.25)
-        centers = sample_poisson(domain, 0.4, rng)
-        appetites = rng.uniform(0.2, 2.0, size=len(centers))
-        config = PointConfiguration(centers=centers, appetites=appetites)
-        alloc = gale_shapley(config, grid)
-        if verify_stability(alloc, config, grid):
-            fails += 1
-    return CheckResult("stability", n_inst, fails)
+def _unstable(rng, i) -> bool:
+    """Deferred acceptance leaves an unstable pair."""
+    domain = Domain(sides=(8.0, 8.0), periodic=bool(i % 2))
+    grid = SiteGrid(domain=domain, spacing=0.25)
+    centers = sample_poisson(domain, 0.4, rng)
+    config = PointConfiguration(centers, rng.uniform(0.2, 2.0, size=len(centers)))
+    return bool(verify_stability(gale_shapley(config, grid), config, grid))
 
 
-def _check_radius_sweep(seed: int) -> CheckResult:
-    """Radius sweep against the bisection oracle."""
-    fails = 0
-    n_inst = 50
-    for i in range(n_inst):
-        rng = replica_rng(seed, 1000 + i)
-        domain = Domain(sides=(10.0, 10.0), periodic=bool(i % 2))
-        centers = sample_poisson(domain, 0.5, rng)
-        if len(centers) == 0:
-            continue
-        appetites = rng.uniform(0.05, 0.5, size=len(centers))
-        config = PointConfiguration(centers=centers, appetites=appetites)
-        j = int(rng.integers(len(centers)))
-        fast = compute_radius(j, config, domain)
-        slow = bisection_radius_oracle(j, config, domain)
-        if abs(fast - slow) > 1e-9:
-            fails += 1
-    return CheckResult("radius_sweep_vs_bisection", n_inst, fails)
+def _radius_off(rng, i) -> bool:
+    """The radius sweep misses the bisection root of a random center."""
+    domain = Domain(sides=(10.0, 10.0), periodic=bool(i % 2))
+    centers = sample_poisson(domain, 0.5, rng)
+    if len(centers) == 0:
+        return False
+    config = PointConfiguration(centers, rng.uniform(0.05, 0.5, size=len(centers)))
+    j = int(rng.integers(len(centers)))
+    return abs(compute_radius(j, config, domain) - bisection_radius_oracle(j, config, domain)) > 1e-9
 
 
-def _check_monotone_in_scale(seed: int) -> CheckResult:
-    """Pathwise monotonicity of the claimed set in the scale."""
-    fails = 0
-    n_inst = 20
-    dist_lo = AppetiteDistribution("exponential", {"mean": 1.0}, scale=0.3, floor=0.1)
-    for i in range(n_inst):
-        domain = Domain(sides=(12.0, 12.0), periodic=True)
-        grid = SiteGrid(domain=domain, spacing=0.25)
-        rng = replica_rng(seed, 2000 + i)
-        centers = sample_poisson(domain, 0.5, rng)
-        draws = rng.random(len(centers))
-        cfg1 = PointConfiguration(centers, dist_lo.quantile(draws))
-        cfg2 = PointConfiguration(centers, replace(dist_lo, scale=0.6).quantile(draws))
-        a1, a2 = gale_shapley(cfg1, grid), gale_shapley(cfg2, grid)
-        ok = a1.assignment >= 0
-        if np.any(ok & ~(a2.assignment >= 0) & (a2.assignment != TIE)):
-            fails += 1
-    return CheckResult("claimed_set_monotone_in_scale", n_inst, fails)
+def _not_monotone(rng, i) -> bool:
+    """A cell claimed at scale 0.3 is unclaimed at 0.6 on the same draws."""
+    domain = Domain(sides=(12.0, 12.0), periodic=True)
+    grid = SiteGrid(domain=domain, spacing=0.25)
+    centers = sample_poisson(domain, 0.5, rng)
+    draws = rng.random(len(centers))
+    low = AppetiteDistribution("exponential", {"mean": 1.0}, scale=0.3, floor=0.1)
+    a1, a2 = (gale_shapley(PointConfiguration(centers, dist.quantile(draws)), grid).assignment
+              for dist in (low, replace(low, scale=0.6)))
+    return bool(np.any((a1 >= 0) & (a2 < 0) & (a2 != TIE)))
 
 
-def _check_domination(seed: int) -> CheckResult:
-    """Domination of the claimed set by the ball union."""
-    fails = 0
-    n_inst = 20
-    for i in range(n_inst):
-        domain = Domain(sides=(10.0, 10.0), periodic=True)
-        grid = SiteGrid(domain=domain, spacing=0.125)
-        rng = replica_rng(seed, 3000 + i)
-        centers = sample_poisson(domain, 1.0, rng)
-        if len(centers) == 0:
-            continue
-        dist = AppetiteDistribution("constant", {"value": 1.0}, scale=0.1, floor=1.0)
-        appetites = sample_appetites(dist, len(centers), rng)
-        config = PointConfiguration(centers, appetites)
-        alloc = gale_shapley(config, grid)
-        model = build_boolean(config, domain)
-        if check_domination(alloc, model, config, grid):
-            fails += 1
-    return CheckResult("ball_union_dominates_claimed_set", n_inst, fails)
+def _undominated(rng, i) -> bool:
+    """A claimed cell lies outside its center's dominating ball."""
+    domain = Domain(sides=(10.0, 10.0), periodic=True)
+    grid = SiteGrid(domain=domain, spacing=0.125)
+    centers = sample_poisson(domain, 1.0, rng)
+    if len(centers) == 0:
+        return False
+    dist = AppetiteDistribution("constant", {"value": 1.0}, scale=0.1, floor=1.0)
+    config = PointConfiguration(centers, sample_appetites(dist, len(centers), rng))
+    return bool(check_domination(gale_shapley(config, grid), build_boolean(config, domain),
+                                 config, grid))
 
 
-def _check_ball_components(seed: int) -> CheckResult:
-    """csgraph components vs BFS on ball overlap graphs."""
-    fails = 0
-    n_inst = 20
-    for i in range(n_inst):
-        rng = replica_rng(seed, 4000 + i)
-        domain = Domain(sides=(10.0, 10.0), periodic=bool(i % 2))
-        centers = sample_poisson(domain, 1.0, rng)
-        if len(centers) == 0:
-            continue
-        radii = rng.uniform(0.2, 0.8, size=len(centers))
-        model = BooleanModel(centers=centers, radii=radii, min_radius=0.2,
-                             truncated=np.zeros(len(radii), dtype=bool))
-        fast = ball_components(model, domain).labels
-        slow = bfs_ball_components_oracle(centers, radii, domain)
-        if not same_partition(fast, slow):
-            fails += 1
-    return CheckResult("ball_components_vs_bfs", n_inst, fails)
+def _ball_partition_differs(rng, i) -> bool:
+    """csgraph and BFS disagree on the components of a ball union."""
+    domain = Domain(sides=(10.0, 10.0), periodic=bool(i % 2))
+    centers = sample_poisson(domain, 1.0, rng)
+    if len(centers) == 0:
+        return False
+    radii = rng.uniform(0.2, 0.8, size=len(centers))
+    model = BooleanModel(centers=centers, radii=radii, min_radius=0.2,
+                         truncated=np.zeros(len(radii), dtype=bool))
+    return not same_partition(ball_components(model, domain).labels,
+                              bfs_ball_components_oracle(centers, radii, domain))
 
 
-def _check_mask_components(seed: int) -> CheckResult:
-    """Grid components vs flood fill."""
-    fails = 0
-    n_inst = 20
-    for i in range(n_inst):
-        rng = replica_rng(seed, 5000 + i)
-        domain = Domain(sides=(8.0, 8.0), periodic=bool(i % 2))
-        grid = SiteGrid(domain=domain, spacing=0.5)
-        mask = rng.random(grid.shape) < 0.5
-        fast = mask_components(mask, grid).labels.reshape(grid.shape)
-        slow = floodfill_mask_oracle(mask, domain.periodic)
-        on = mask.ravel()
-        if not same_partition(fast.ravel()[on], slow.ravel()[on]):
-            fails += 1
-    return CheckResult("mask_components_vs_floodfill", n_inst, fails)
+def _mask_partition_differs(rng, i) -> bool:
+    """Grid components and flood fill disagree on a random mask."""
+    domain = Domain(sides=(8.0, 8.0), periodic=bool(i % 2))
+    grid = SiteGrid(domain=domain, spacing=0.5)
+    mask = rng.random(grid.shape) < 0.5
+    on = mask.ravel()
+    fast = mask_components(mask, grid).labels
+    slow = floodfill_mask_oracle(mask, domain.periodic).ravel()
+    return not same_partition(fast[on], slow[on])
 
 
-def _check_chernoff(seed: int) -> CheckResult:
-    """Chernoff bound dominates the exact Poisson tail (seed unused)."""
-    fails = 0
-    n_inst = 0
-    for mean in (1.0, 5.0, 10.0, 50.0):
-        for ratio in (1.1, 1.5, 2.0, 5.0):
-            n_inst += 1
-            a = mean * ratio
-            exact = exact_poisson_tail(mean, math.ceil(a))
-            if poisson_chernoff(mean, a) < exact - 1e-12:
-                fails += 1
-    return CheckResult("poisson_chernoff_dominates_exact_tail", n_inst, fails)
+def _chernoff_below_tail(rng, i) -> bool:
+    """The Chernoff bound undercuts the exact Poisson tail at grid point i
+    (4 means x 4 ratios); rng is unused."""
+    mean = (1.0, 5.0, 10.0, 50.0)[i // 4]
+    a = mean * (1.1, 1.5, 2.0, 5.0)[i % 4]
+    return poisson_chernoff(mean, a) < exact_poisson_tail(mean, math.ceil(a)) - 1e-12
 
 
-_CHECKS = (_check_stability, _check_radius_sweep, _check_monotone_in_scale,
-           _check_domination, _check_ball_components, _check_mask_components,
-           _check_chernoff)
+# (name, stream base, instances, predicate). A predicate builds instance i
+# from its rng, in a fixed draw order, and says whether the fast path
+# disagrees with its oracle. Bases 1000 apart keep the rows' streams disjoint.
+_CHECKS = (
+    ("stability", 0, 20, _unstable),
+    ("radius_sweep_vs_bisection", 1000, 50, _radius_off),
+    ("claimed_set_monotone_in_scale", 2000, 20, _not_monotone),
+    ("ball_union_dominates_claimed_set", 3000, 20, _undominated),
+    ("ball_components_vs_bfs", 4000, 20, _ball_partition_differs),
+    ("mask_components_vs_floodfill", 5000, 20, _mask_partition_differs),
+    ("poisson_chernoff_dominates_exact_tail", 6000, 16, _chernoff_below_tail),
+)
+
+
+def _count(seed: int, base: int, n: int, failed) -> int:
+    """The instances i < n for which failed(replica_rng(seed, base + i), i) holds."""
+    return sum(failed(replica_rng(seed, base + i), i) for i in range(n))
 
 
 def run_validation(seed: int, workers: int = 1) -> list[CheckResult]:
     """Every check, in a fixed order. Each check draws from its own seeded
     streams, so running them on a thread pool changes no result."""
-    return map_ordered(lambda check: check(seed), _CHECKS, workers)
+    def run(row):
+        name, base, n, failed = row
+        return CheckResult(name, n, _count(seed, base, n, failed))
+
+    return map_ordered(run, _CHECKS, workers)

@@ -23,7 +23,7 @@ from allocperc.allocation import (
 from allocperc.appetite import AppetiteDistribution
 from allocperc.geometry import (
     Domain,
-    pairwise_distances,
+    distance,
     replica_rng,
     sample_poisson,
     unit_ball_volume,
@@ -52,7 +52,7 @@ def dense_gale_shapley(config, grid):
         )
 
     cells = grid.cell_centers()
-    dist = pairwise_distances(cells, config.centers, grid.domain)
+    dist = distance(cells[:, None], config.centers[None], grid.domain)
     pref = np.argsort(dist, axis=1, kind="stable")
     sdist = np.take_along_axis(dist, pref, axis=1)
     del dist
@@ -456,7 +456,7 @@ def _jump_states(case):
         dom = Domain(sides=(3.0, 3.0, 3.0), periodic=True)
         centers = np.vstack([lattice(3, 3.0, 1.5), [[3.0, 3.0, 3.0], [3.0, 0.5, 3.0]]])
         pts = lattice(3, 3.0, 0.75, 0.125)
-    dist = pairwise_distances(pts, centers, dom)
+    dist = distance(pts[:, None], centers[None], dom)
     full = rng.random(len(centers)) < 0.6
     # A full center's cutoff is its worst held distance: here the distance
     # of its nearest point, one float below it, or that of a random point;

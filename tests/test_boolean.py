@@ -19,7 +19,6 @@ from allocperc.booleanmodel import (
 from allocperc.geometry import (
     Domain,
     distance,
-    pairwise_distances,
     replica_rng,
     sample_poisson,
     unit_ball_volume,
@@ -176,7 +175,7 @@ def dense_boolean(config, domain):
     code with the booleanmodel kernel, whose radii it must match bit for bit."""
     n, d = config.n_centers, domain.dim
     pi_d = unit_ball_volume(d)
-    dmat = pairwise_distances(config.centers, config.centers, domain)
+    dmat = distance(config.centers[:, None], config.centers[None], domain)
     order = np.argsort(dmat, axis=1, kind="stable")
     sd = np.take_along_axis(dmat, order, axis=1)
     cum = np.cumsum(config.appetites[order], axis=1)
@@ -243,7 +242,7 @@ def test_batched_kernel_matches_dense_on_heavy_tails(seed, block, monkeypatch):
     config, dom = pareto_instance(seed)
     cap = float(np.median(dense_boolean(config, dom)[0]))
     radii = assert_matches_dense(config, dom, cap)
-    far = pairwise_distances(config.centers, config.centers, dom).max(axis=1)
+    far = distance(config.centers[:, None], config.centers[None], dom).max(axis=1)
     assert np.any(2.0 * radii >= far)  # some lists hold every center
     assert np.any(radii > cap) and np.any(radii < cap)  # some radii are clipped at the cap
 

@@ -1,16 +1,20 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocperc.cli import EXIT_CONFIG, EXIT_OK, main
+from allocperc import cli, validation
+from allocperc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from allocperc.config import ConfigError, parse_config_file, parse_scale_grid, resolve_config
+from allocperc.percolation import SweepResult, SweepRow
 
 BASE_CFG = """\
 # demo configuration
@@ -114,6 +118,9 @@ def test_boolean_outputs(tmp_path):
     ("allocate", "dimension = 40\nsides = 10\n"),
     ("allocate", "spacing = 1e-300\n"),
     ("allocate", "sides = 1e7,1e7\n"),  # refused at once: 1.42 PiB of centers
+    # past numpy's 32 meshgrid axes and 64 array dimensions, with one cell
+    ("allocate", "dimension = 33\nsides = 0.25\nspacing = 0.25\nintensity = 1e20\n"),
+    ("percolate", "dimension = 65\nsides = 0.25\nspacing = 0.25\nintensity = 1e20\n"),
 ])
 def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -174,6 +181,50 @@ def test_validate_same_on_a_thread_pool(cfg_file, tmp_path):
                      "--workers", workers]) == EXIT_OK
         runs.append((out / "validation.csv").read_bytes())
     assert runs[0] == runs[1]
+
+
+def _collapse(alloc):  # every cell to center 0
+    return dataclasses.replace(alloc, assignment=np.zeros_like(alloc.assignment))
+
+
+def _merge(report):  # every labelled ball or cell in one component
+    return dataclasses.replace(report, labels=np.where(report.labels >= 0, 0, report.labels))
+
+
+# fast path in allocperc.validation: (fault applied to its result, row that catches it)
+_FAULTS = {
+    "gale_shapley": (_collapse, "ball_union_dominates_claimed_set"),
+    "compute_radius": (lambda r: r + 1e-8, "radius_sweep_vs_bisection"),
+    "ball_components": (_merge, "ball_components_vs_bfs"),
+    "mask_components": (_merge, "mask_components_vs_floodfill"),
+    "poisson_chernoff": (lambda bound: 0.0, "poisson_chernoff_dominates_exact_tail"),
+    "build_boolean": (lambda m: dataclasses.replace(m, radii=m.radii * 0.0),
+                      "ball_union_dominates_claimed_set"),
+}
+
+
+@pytest.mark.parametrize("fast_path", _FAULTS)
+def test_validate_reports_an_injected_fault(fast_path, cfg_file, tmp_path, monkeypatch):
+    fault, row = _FAULTS[fast_path]
+    original = getattr(validation, fast_path)
+    monkeypatch.setattr(validation, fast_path, lambda *a, **k: fault(original(*a, **k)))
+    out = tmp_path / "run"
+    assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_INVARIANT
+    failures = {r[0]: int(r[2]) for r in read_csv(out / "validation.csv")[1:]}
+    assert failures[row] > 0
+
+
+def test_sweep_exits_3_when_one_replica_stops_crossing(tmp_path, monkeypatch):
+    # one crossing at each scale, but replica 0's switches off as replica 1's switches on
+    def sweep(*args, **kwargs):
+        rows = [SweepRow(a, 0.5, 0.0, 1.0, 0.5) for a in (0.5, 1.0)]
+        return SweepResult(rows, np.array([[1, 0], [0, 1]], dtype=bool), None)
+
+    monkeypatch.setattr(cli, "critical_sweep", sweep)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("boundary = periodic", "boundary = open"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--scale-grid", "0.5:1:0.5"]) == EXIT_INVARIANT
 
 
 def test_allocate_counters_go_to_the_manifest_only(cfg_file, tmp_path):

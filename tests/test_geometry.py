@@ -13,7 +13,6 @@ from allocperc.geometry import (
     kd_tree,
     nearest,
     nearest_until,
-    pairwise_distances,
     replica_rng,
     sample_poisson,
     unit_ball_volume,
@@ -76,7 +75,7 @@ def test_pairwise_matches_scalar():
     rng = replica_rng(5)
     pts = rng.random((9, 2)) * np.array([7.0, 5.0])
     oth = rng.random((4, 2)) * np.array([7.0, 5.0])
-    mat = pairwise_distances(pts, oth, dom)
+    mat = distance(pts[:, None], oth[None], dom)
     for i in range(9):
         for j in range(4):
             assert mat[i, j] == pytest.approx(float(distance(pts[i], oth[j], dom)), abs=1e-12)
@@ -90,7 +89,7 @@ def test_paired_distances_equal_matrix_entries(periodic):
     pts = rng.random((30, 3)) * np.array(dom.sides)
     oth = rng.random((20, 3)) * np.array(dom.sides)
     idx = rng.integers(0, 20, size=(30, 8))
-    mat = pairwise_distances(pts, oth, dom)
+    mat = distance(pts[:, None], oth[None], dom)
     assert np.array_equal(distance(pts[:, None, :], oth[idx], dom),
                           np.take_along_axis(mat, idx, axis=1))
 
@@ -148,7 +147,7 @@ def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
     dom = Domain(sides=tuple(sides), periodic=periodic)
     pts = np.vstack([centers, rng.random((30, d)) * sides,
                      np.floor(rng.random((30, d)) * sides) + 0.5])
-    dense = pairwise_distances(pts, centers, dom)
+    dense = distance(pts[:, None], centers[None], dom)
     order = np.argsort(dense, axis=1, kind="stable")  # (distance, index) order
     sd = np.take_along_axis(dense, order, axis=1)
     tree = kd_tree(centers, dom)
@@ -183,7 +182,7 @@ def within_case(case, d, periodic):
     elif case == "zero":  # only coincident points are within 0
         r[::2] = 0.0
     elif case == "slack":  # radii one rounding step and 1e-10 around a distance
-        dense = pairwise_distances(pts, others, dom)
+        dense = distance(pts[:, None], others[None], dom)
         j = rng.integers(0, len(others), len(pts))
         exact = dense[np.arange(len(pts)), j]
         r = np.choose(np.arange(len(pts)) % 4,
@@ -201,7 +200,7 @@ def within_case(case, d, periodic):
 def test_within_yields_the_dense_pairs_in_blocks(monkeypatch, case, d, periodic, block):
     monkeypatch.setattr(geometry, "BLOCK", block)
     pts, others, r, dom = within_case(case, d, periodic)
-    dense = pairwise_distances(pts, others, dom).reshape(len(pts), len(others))
+    dense = distance(pts[:, None], others[None], dom).reshape(len(pts), len(others))
     want = {(i, j): dense[i, j] for i, j in zip(*np.nonzero(dense <= r[:, None]))}
     got, rows = {}, set()
     for i, j, dist in within(kd_tree(others, dom), pts, r, others, dom):

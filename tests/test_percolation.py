@@ -7,7 +7,7 @@ from allocperc import geometry, percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
-from allocperc.geometry import Domain, pairwise_distances, replica_rng, sample_poisson
+from allocperc.geometry import Domain, distance, replica_rng, sample_poisson
 from allocperc.percolation import (
     PercolationError,
     ball_components,
@@ -125,7 +125,7 @@ def test_ball_components_proposes_per_ball(monkeypatch):
 
     monkeypatch.setattr(percolation, "distance", spy)
     ball_components(make_model(centers, radii), dom)
-    within = int((pairwise_distances(centers, centers, dom) <= 2 * radii[:, None]).sum())
+    within = int((distance(centers[:, None], centers[None], dom) <= 2 * radii[:, None]).sum())
     assert sizes[0] <= within  # the first distances recomputed are the proposed pairs
 
 
@@ -133,7 +133,7 @@ def crossing_event_brute(model, dom, x, radius_low, beta):
     sel = (model.radii >= radius_low) & (model.radii <= beta)
     centers, radii = model.centers[sel], model.radii[sel]
     labels = bfs_ball_components_oracle(centers, radii, dom)
-    d_x = pairwise_distances(x, centers, dom)[0]
+    d_x = distance(x, centers, dom)
     return bool(np.intersect1d(labels[d_x < radii + beta], labels[d_x + radii > 2 * beta]).size)
 
 
