@@ -8,10 +8,13 @@ assignment for the discretized instance.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import geometry
 from .appetite import AppetiteDistribution, sample_appetites
 from .geometry import (
     Domain,
@@ -143,6 +146,42 @@ def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
     return np.clip(q, 0, 2.0 ** 62).astype(np.int64)
 
 
+class _Lists(SimpleNamespace):
+    """Solve state that depends only on its key (grid, centers): cells, the
+    centers' kd-tree, each cell's PREF_K-nearest list nbr, nbr_d (inf past its
+    certified prefix) and length plen, all read-only; and clear, the sorted keys
+    cell * n_centers + center of pairs found tie-free past a list, then int64 max."""
+
+
+# One _Lists per thread, so a scale ladder (one map_ordered task) builds its
+# lists once. A hit returns what a build would: no result depends on it.
+_memo = threading.local()
+
+
+def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
+    """The thread's _Lists for these centers, built on a miss."""
+    key = (grid, PREF_K, geometry.BLOCK, centers.shape, centers.tobytes())  # all the build reads
+    if getattr(_memo, "lists", None) is not None and _memo.lists.key == key:
+        return _memo.lists
+    _memo.lists = None  # free the old entry before building the new one
+    cells = grid.cell_centers()
+    tree = kd_tree(centers, grid.domain)
+    nbr = np.zeros((len(cells), min(PREF_K, len(centers))), dtype=np.int64)
+    nbr_d = np.empty(nbr.shape)
+
+    def store(rows, c, d, bound, k):
+        nbr[rows], nbr_d[rows] = c, d
+        return np.ones(len(rows), dtype=bool)
+
+    nearest_until(tree, cells, centers, grid.domain, store, k=PREF_K)
+    plen = np.count_nonzero(nbr_d < np.inf, axis=1)
+    for a in (cells, nbr, nbr_d, plen):
+        a.setflags(write=False)
+    _memo.lists = _Lists(key=key, cells=cells, tree=tree, nbr=nbr, nbr_d=nbr_d, plen=plen,
+                         clear=np.array([np.iinfo(np.int64).max]))
+    return _memo.lists
+
+
 def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult:
     """Stable assignment by site-proposing deferred acceptance.
 
@@ -174,19 +213,11 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
 
     domain = grid.domain
     centers = config.centers
-    cells = grid.cell_centers()
-    tree = kd_tree(centers, domain)
-
-    # Each cell's k-nearest list, built in blocks; inf past its certified prefix.
-    nbr = np.zeros((n_cells, min(PREF_K, n_centers)), dtype=np.int64)
-    nbr_d = np.empty(nbr.shape)
-
-    def store(rows, c, d, bound, k):
-        nbr[rows], nbr_d[rows] = c, d
-        return np.ones(len(rows), dtype=bool)
-
-    nearest_until(tree, cells, centers, domain, store, k=PREF_K)
-    plen = np.count_nonzero(nbr_d < np.inf, axis=1)
+    if n_cells * n_centers >= 2 ** 63:
+        raise AllocationError("cells x centers overflows the int64 tie-free keys")
+    lists = _lists(centers, grid)
+    cells, tree, nbr, nbr_d, plen = lists.cells, lists.tree, lists.nbr, lists.nbr_d, lists.plen
+    clear = [lists.clear]  # pairs found tie-free past a list, merged in at the end
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
@@ -229,9 +260,14 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         tied = np.zeros(applicants.size, dtype=bool)
         a = applicants[inside]
         tied[inside] = nbr_d[a, nxt[inside]] - dcand[a] < tie_tol
-        a = applicants[~inside]
-        tied[~inside] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol,
-                                        centers, domain)
+        # Past the list, only pairs not yet found tie-free (a tie needs no quota).
+        out = np.flatnonzero(~inside)
+        key = applicants[out] * n_centers + cand[applicants[out]]
+        unseen = lists.clear[np.searchsorted(lists.clear, key)] != key
+        out, key = out[unseen], key[unseen]
+        a = applicants[out]
+        tied[out] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol, centers, domain)
+        clear.append(key[~tied[out]])
         status[applicants[tied]] = TIE
         fresh = applicants[~tied]
         if fresh.size == 0:
@@ -264,6 +300,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
 
+    lists.clear = np.sort(np.concatenate(clear), kind="stable")
     counts = np.bincount(status[status >= 0], minlength=n_centers)
     volumes = counts * hd
     # Satedness tolerant to one-cell quantization of the last shell.
@@ -363,7 +400,8 @@ def verify_stability(
 
     A cell desires a strictly closer center (or any center when unclaimed);
     a center covets any cell when unsated, or any cell strictly closer than
-    its farthest territory cell. TIE cells are excluded.
+    its farthest territory cell. TIE cells are excluded. Satedness is derived
+    from the assignment, as gale_shapley derives it; result.sated is not read.
     """
     if config.n_centers == 0:
         return []
@@ -378,8 +416,10 @@ def verify_stability(
     farthest = np.full(config.n_centers, -np.inf)
     np.maximum.at(farthest, assign[claimed], assigned_dist[claimed])
 
+    hd = grid.cell_volume
+    sated = np.bincount(assign[claimed], minlength=config.n_centers) * hd >= config.appetites - hd
     desire = dist < assigned_dist[:, None]
-    covet = (~result.sated)[None, :] | (dist < farthest[None, :])
+    covet = (~sated)[None, :] | (dist < farthest[None, :])
     unstable = desire & covet
     unstable[claimed, assign[claimed]] = False
     unstable[assign == TIE, :] = False

@@ -175,7 +175,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         [[r.scale, f"{r.crossing_probability:.6g}", f"{r.ci_low:.6g}",
           f"{r.ci_high:.6g}", f"{r.mean_claimed_fraction:.6g}"] for r in result.rows],
     )
-    extras = {"bracket": list(result.bracket) if result.bracket else None}
+    extras = {"bracket": list(result.bracket) if result.bracket else None, "counters": [
+        {"scale": r.scale, "rounds_max": int(c[:, 0].max()), "beyond_list_total": int(c[:, 1].sum())}
+        for r, c in zip(result.rows, result.counters)]}
     ind = result.indicators  # (n_scales, replicas)
     if np.any(ind[:-1] & ~ind[1:]):
         _log("sweep: a replica's coupled crossing indicator switched off along the grid")

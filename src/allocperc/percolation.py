@@ -271,6 +271,7 @@ class SweepResult:
     rows: list[SweepRow]
     indicators: np.ndarray  # (n_scales, replicas) coupled crossing indicators
     bracket: tuple[float, float] | None  # scales bracketing crossing prob 0.5
+    counters: np.ndarray  # (n_scales, replicas, 2): each solve's rounds, beyond_list
 
 
 def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -315,16 +316,17 @@ def critical_sweep(domain: Domain, grid: SiteGrid, intensity: float,
     if domain.periodic:
         raise PercolationError("crossing detection needs an open (non-periodic) box")
 
-    def ladder(rep: int) -> list[tuple[bool, float]]:
+    def ladder(rep: int) -> list[tuple[bool, float, int, int]]:
         runs = (run_replica(domain, grid, intensity, replace(base_dist, scale=a), seed, rep)
                 for a in scale_grid)
         return [(claimed_components(alloc, grid).percolates,
-                 phase_diagnostics(alloc, config, grid).claimed_volume_fraction)
+                 phase_diagnostics(alloc, config, grid).claimed_volume_fraction,
+                 alloc.counters["rounds"], alloc.counters["beyond_list"])
                 for alloc, config in runs]
 
-    # (n_scales, replicas, 2): crossing flag and claimed fraction
+    # (n_scales, replicas, 4): crossing flag, claimed fraction and the counters
     table = np.array(map_ordered(ladder, range(replicas), workers),
-                     dtype=float).reshape(replicas, len(scale_grid), 2).transpose(1, 0, 2)
+                     dtype=float).reshape(replicas, len(scale_grid), 4).transpose(1, 0, 2)
     indicators = table[..., 0].astype(bool)
     fractions = np.ascontiguousarray(table[..., 1])
     rows = []
@@ -344,4 +346,5 @@ def critical_sweep(domain: Domain, grid: SiteGrid, intensity: float,
         if probs[i - 1] < 0.5 <= probs[i]:
             bracket = (scale_grid[i - 1], scale_grid[i])
             break
-    return SweepResult(rows=rows, indicators=indicators, bracket=bracket)
+    return SweepResult(rows=rows, indicators=indicators, bracket=bracket,
+                       counters=table[..., 2:].astype(np.int64))

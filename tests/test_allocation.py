@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -612,3 +613,168 @@ def test_counters_default_empty():
                              territory_volumes=np.zeros(1), sated=np.ones(1, dtype=bool),
                              grid_shape=(1,))
     assert alloc.counters == {}
+
+
+def test_stability_derives_satedness_from_the_assignment():
+    # every cell moved onto center 0 while result.sated keeps the solve's
+    # flags: the centers left with no territory are unsated and covet cells
+    config, grid = random_instance(5)
+    alloc = gale_shapley(config, grid)
+    assert np.all(alloc.sated)
+    collapsed = AllocationResult(assignment=np.zeros_like(alloc.assignment),
+                                 territory_volumes=alloc.territory_volumes,
+                                 sated=alloc.sated, grid_shape=alloc.grid_shape)
+    unstable = verify_stability(collapsed, config, grid)
+    assert unstable and {c for _, c in unstable} == set(range(1, config.n_centers))
+
+
+@pytest.mark.parametrize("tol", [TIE_REL_TOL * 0.5, 0.05])
+@pytest.mark.parametrize("case", ["ties", "duplicates", "near ties", "at L",
+                                  "on a center", "on a center periodic"])
+def test_tied_past_list_is_the_dense_rule(case, tol):
+    # tied: some center after the key (d, c) in (distance, index) order lies
+    # within d + tol, checked here for keys at every depth of the dense row
+    if case.startswith("on a center"):  # d = 0 < tol, duplicated centers tie
+        _, centers, dom, *_ = _jump_states("duplicates")
+        dom = Domain(dom.sides, periodic=case.endswith("periodic"))
+        pts = centers.copy()
+        dist = distance(pts[:, None], centers[None], dom)
+    else:
+        pts, centers, dom, *_, dist = _jump_states(case)
+    order = np.argsort(dist, axis=1, kind="stable")
+    sd = np.take_along_axis(dist, order, axis=1)
+    rows, n = np.arange(len(pts)), len(centers)
+    tree = geometry.kd_tree(centers, dom)
+    got_any = np.zeros(2, dtype=bool)
+    for pos in (np.zeros(len(pts), dtype=np.int64), np.full(len(pts), n - 1),
+                replica_rng(19).integers(0, n, len(pts))):
+        d, c = sd[rows, pos], order[rows, pos]
+        want = np.any((np.arange(n) > pos[:, None]) & (sd - d[:, None] < tol), axis=1)
+        got = allocation._tied_past_list(tree, pts, d, c, tol, centers, dom)
+        assert np.array_equal(got, want)
+        got_any |= [got.any(), not got.all()]
+    assert got_any.all()
+
+
+# --- the per-thread memo of the geometry-only solve state --------------------
+
+def _ladder_instance(i):
+    """Instance i of the memo fuzz: d = 1-3, open or periodic, Poisson,
+    lattice (many TIE cells) or duplicated centers, PREF_K 1, 2 or 8; the
+    appetites at scale s are s times fixed draws."""
+    rng = replica_rng(29, i)
+    dim, periodic, kind, k = 1 + i % 3, bool(i // 3 % 2), i // 6 % 3, (1, 2, 8)[i // 18 % 3]
+    side, spacing = {1: (8.0, 0.25), 2: (3.0, 0.5), 3: (1.5, 0.5)}[dim]
+    dom = Domain(sides=(side,) * dim, periodic=periodic)
+    if kind == 0:
+        centers = rng.random((int(rng.integers(1, 20)), dim)) * side
+    elif kind == 1:
+        centers = lattice(dim, side, 0.5)
+        centers = centers[rng.random(len(centers)) < 0.5]
+    else:
+        centers = rng.random((int(rng.integers(1, 12)), dim)) * side
+        centers = np.vstack([centers, centers[: len(centers) // 2 + 1]])
+    draws = rng.random(len(centers)) * dom.volume / max(len(centers), 1)
+    return SiteGrid(domain=dom, spacing=spacing), centers, draws, k
+
+
+def _same_result(a, b):
+    return (np.array_equal(a.assignment, b.assignment)
+            and np.array_equal(a.territory_volumes, b.territory_volumes)
+            and np.array_equal(a.sated, b.sated) and a.counters == b.counters)
+
+
+def test_memo_ladders_equal_cold_solves(monkeypatch):
+    scales = (0.3, 0.9, 2.0)
+    ties = jumps = 0
+    for i in range(300):
+        grid, centers, draws, k = _ladder_instance(i)
+        monkeypatch.setattr(allocation, "PREF_K", k)
+        configs = [PointConfiguration(centers, s * draws) for s in scales]
+        cold = []
+        for config in configs:
+            allocation._memo.lists = None
+            cold.append(gale_shapley(config, grid))
+        ties += any(np.any(r.assignment == TIE) for r in cold)
+        jumps += any(r.counters["beyond_list"] for r in cold)
+        shuffled = replica_rng(31, i).permutation(len(scales))
+        for order in (range(len(scales)), range(len(scales))[::-1], shuffled):
+            allocation._memo.lists = None
+            for j in order:
+                assert _same_result(gale_shapley(configs[j], grid), cold[j]), (i, list(order))
+    assert ties > 50 and jumps > 50
+
+
+def _spy_list_builds(monkeypatch):
+    """Record the rows of each list build, the nearest_until call made by
+    _lists (the jump past the list makes the others)."""
+    builds = []
+    real = allocation.nearest_until
+
+    def spy(tree, pts, others, domain, settle, **kwargs):
+        if settle.__qualname__.startswith("_lists."):
+            builds.append(len(pts))
+        return real(tree, pts, others, domain, settle, **kwargs)
+
+    monkeypatch.setattr(allocation, "nearest_until", spy)
+    return builds
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_builds_one_list_per_replica_and_checks_each_tie_once(monkeypatch, workers):
+    from allocperc.percolation import critical_sweep
+
+    builds = _spy_list_builds(monkeypatch)
+    seen, repeats = set(), []
+    real = allocation._tied_past_list
+
+    def tied_past_list(tree, pts, d, c, tol, centers, domain):
+        tied = real(tree, pts, d, c, tol, centers, domain)
+        for p, cc in zip(pts[~tied], c[~tied]):
+            key = (centers.tobytes(), p.tobytes(), int(cc))
+            repeats.append(key in seen)
+            seen.add(key)
+        return tied
+
+    monkeypatch.setattr(allocation, "_tied_past_list", tied_past_list)
+    dom = Domain(sides=(8.0, 8.0), periodic=False)
+    grid = SiteGrid(domain=dom, spacing=0.25)
+    dist = AppetiteDistribution("exponential", {"mean": 1.0})
+    allocation._memo.lists = None
+    critical_sweep(dom, grid, 1.0, dist, [0.4, 0.7, 1.0, 1.3], 3, seed=5, workers=workers)
+    assert builds == [grid.n_cells] * 3
+    assert len(repeats) > 1000 and not any(repeats)
+
+
+def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
+    builds = _spy_list_builds(monkeypatch)
+    grid, centers, draws, _ = _ladder_instance(4)
+    config = PointConfiguration(centers, draws)
+    allocation._memo.lists = None
+    want = gale_shapley(config, grid)
+    assert _same_result(gale_shapley(config, grid), want) and len(builds) == 1
+    # beyond_list counts the jumps past lists of PREF_K, so only the
+    # assignment is compared across depths
+    monkeypatch.setattr(allocation, "PREF_K", 2)
+    short = gale_shapley(config, grid)
+    assert np.array_equal(short.assignment, want.assignment) and len(builds) == 2
+    monkeypatch.setattr(geometry, "BLOCK", 5)
+    assert _same_result(gale_shapley(config, grid), short) and len(builds) == 3
+    assert allocation._memo.lists.key[1:3] == (2, 5)
+
+
+def test_a_miss_frees_the_old_entry_before_the_build(monkeypatch):
+    grid, centers, draws, _ = _ladder_instance(4)
+    gale_shapley(PointConfiguration(centers, draws), grid)
+    old = weakref.ref(allocation._memo.lists)
+    alive_at_build = []
+    real = allocation.nearest_until
+
+    def spy(*args, **kwargs):
+        alive_at_build.append(old() is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(allocation, "nearest_until", spy)
+    gale_shapley(PointConfiguration(centers[1:], draws[1:]), grid)
+    assert alive_at_build and not any(alive_at_build)
+    assert old() is None

@@ -191,34 +191,35 @@ def _merge(report):  # every labelled ball or cell in one component
     return dataclasses.replace(report, labels=np.where(report.labels >= 0, 0, report.labels))
 
 
-# fast path in allocperc.validation: (fault applied to its result, row that catches it)
+# fast path in allocperc.validation: (fault applied to its result, rows that catch it)
 _FAULTS = {
-    "gale_shapley": (_collapse, "ball_union_dominates_claimed_set"),
-    "compute_radius": (lambda r: r + 1e-8, "radius_sweep_vs_bisection"),
-    "ball_components": (_merge, "ball_components_vs_bfs"),
-    "mask_components": (_merge, "mask_components_vs_floodfill"),
-    "poisson_chernoff": (lambda bound: 0.0, "poisson_chernoff_dominates_exact_tail"),
+    "gale_shapley": (_collapse, ("stability", "ball_union_dominates_claimed_set")),
+    "compute_radius": (lambda r: r + 1e-8, ("radius_sweep_vs_bisection",)),
+    "ball_components": (_merge, ("ball_components_vs_bfs",)),
+    "mask_components": (_merge, ("mask_components_vs_floodfill",)),
+    "poisson_chernoff": (lambda bound: 0.0, ("poisson_chernoff_dominates_exact_tail",)),
     "build_boolean": (lambda m: dataclasses.replace(m, radii=m.radii * 0.0),
-                      "ball_union_dominates_claimed_set"),
+                      ("ball_union_dominates_claimed_set",)),
 }
 
 
 @pytest.mark.parametrize("fast_path", _FAULTS)
 def test_validate_reports_an_injected_fault(fast_path, cfg_file, tmp_path, monkeypatch):
-    fault, row = _FAULTS[fast_path]
+    fault, rows = _FAULTS[fast_path]
     original = getattr(validation, fast_path)
     monkeypatch.setattr(validation, fast_path, lambda *a, **k: fault(original(*a, **k)))
     out = tmp_path / "run"
     assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_INVARIANT
     failures = {r[0]: int(r[2]) for r in read_csv(out / "validation.csv")[1:]}
-    assert failures[row] > 0
+    assert all(failures[row] > 0 for row in rows)
 
 
 def test_sweep_exits_3_when_one_replica_stops_crossing(tmp_path, monkeypatch):
     # one crossing at each scale, but replica 0's switches off as replica 1's switches on
     def sweep(*args, **kwargs):
         rows = [SweepRow(a, 0.5, 0.0, 1.0, 0.5) for a in (0.5, 1.0)]
-        return SweepResult(rows, np.array([[1, 0], [0, 1]], dtype=bool), None)
+        return SweepResult(rows, np.array([[1, 0], [0, 1]], dtype=bool), None,
+                           np.ones((2, 2, 2), dtype=np.int64))
 
     monkeypatch.setattr(cli, "critical_sweep", sweep)
     cfg = tmp_path / "s.cfg"
@@ -234,6 +235,19 @@ def test_allocate_counters_go_to_the_manifest_only(cfg_file, tmp_path):
     assert [c["replica"] for c in counters] == [0, 1]
     assert all(c["rounds"] >= 1 and c["beyond_list"] >= 0 for c in counters)
     csv_text = (out / "allocation.csv").read_text()
+    assert "rounds" not in csv_text and "beyond_list" not in csv_text
+
+
+def test_sweep_counters_go_to_the_manifest_only(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("boundary = periodic", "boundary = open"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--scale-grid", "0.5:1.5:0.5"]) == EXIT_OK
+    counters = json.loads((out / "manifest.json").read_text())["extras"]["counters"]
+    assert [c["scale"] for c in counters] == [0.5, 1.0, 1.5]
+    assert all(c["rounds_max"] >= 1 and c["beyond_list_total"] >= 0 for c in counters)
+    csv_text = (out / "sweep.csv").read_text()
     assert "rounds" not in csv_text and "beyond_list" not in csv_text
 
 

@@ -1,9 +1,11 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from allocperc import geometry, percolation
+from allocperc import allocation, geometry, percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
@@ -395,3 +397,26 @@ def test_boolean_no_crossing_implies_claimed_no_crossing():
         assert not cell_report.percolates
         checked += 1
     assert checked > 0
+
+
+def test_sweep_counters_are_those_of_cold_solves_at_any_worker_count():
+    # the per-thread memo and the thread schedule change no counter
+    dom = Domain(sides=(8.0, 8.0), periodic=False)
+    grid = SiteGrid(domain=dom, spacing=0.25)
+    dist = AppetiteDistribution("exponential", {"mean": 1.0})
+    scales = [0.4, 0.8, 1.2]
+    want = np.empty((len(scales), 3, 2), dtype=np.int64)
+    for rep in range(3):
+        for i, a in enumerate(scales):
+            allocation._memo.lists = None
+            alloc, _ = run_replica(dom, grid, 1.0, replace(dist, scale=a), 9, rep)
+            want[i, rep] = alloc.counters["rounds"], alloc.counters["beyond_list"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            got = critical_sweep(dom, grid, 1.0, dist, scales, 3, seed=9, workers=workers)
+            assert np.array_equal(got.counters, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert want[..., 1].any()
