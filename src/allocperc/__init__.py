@@ -13,13 +13,12 @@ from .allocation import (
     phase_diagnostics,
     verify_stability,
 )
-from .appetite import AppetiteDistribution, moment_report, sample_appetite, sample_appetites
+from .appetite import AppetiteDistribution, moment_report, sample_appetites
 from .booleanmodel import (
     BooleanModel,
     build_boolean,
     check_domination,
     compute_radius,
-    compute_radius_truncated,
     tail_statistics,
 )
 from .bounds import (

@@ -96,10 +96,6 @@ def sample_appetites(dist: AppetiteDistribution, n: int, rng: np.random.Generato
     return dist.quantile(rng.random(n))
 
 
-def sample_appetite(dist: AppetiteDistribution, rng: np.random.Generator) -> float:
-    return float(sample_appetites(dist, 1, rng)[0])
-
-
 def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
     """E[max(V, floor)^order] = floor^q P[V <= floor] + E[V^q; V > floor] in
     closed form; inf for a Pareto law with order >= index, and past the float

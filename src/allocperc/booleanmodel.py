@@ -96,15 +96,6 @@ def compute_radius(
     return float(_radii(config, domain, np.array([center_index]))[0])
 
 
-def compute_radius_truncated(
-    center_index: int, config: PointConfiguration, domain: Domain, cap: float
-) -> float:
-    """The radius clipped at cap: a root past the cap means the radius is past it."""
-    if cap <= 0:
-        raise BooleanModelError("cap must be positive")
-    return min(compute_radius(center_index, config, domain), cap)
-
-
 def _require_floor(config: PointConfiguration) -> None:
     if np.any(config.appetites <= 0):
         raise BooleanModelError(

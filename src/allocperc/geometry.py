@@ -43,12 +43,6 @@ class Domain:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        lo = pts >= 0.0
-        hi = pts < np.asarray(self.sides)
-        return np.all(lo & hi, axis=-1)
-
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the d-dimensional ball with unit radius."""
@@ -177,20 +171,9 @@ def palm_origin(domain: Domain) -> np.ndarray:
     return np.zeros(domain.dim) if domain.periodic else np.asarray(domain.sides) / 2.0
 
 
-def sample_poisson(
-    domain: Domain,
-    intensity: float,
-    rng: np.random.Generator,
-    palm: bool = False,
-) -> np.ndarray:
-    """Homogeneous Poisson sample in the domain, shape (n, d).
-
-    With palm=True one extra point is placed first, at palm_origin(domain).
-    """
+def sample_poisson(domain: Domain, intensity: float, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson sample in the domain, shape (n, d)."""
     if intensity < 0:
         raise GeometryError(f"intensity must be nonnegative, got {intensity}")
     n = rng.poisson(intensity * domain.volume)
-    pts = rng.random((n, domain.dim)) * np.asarray(domain.sides)
-    if palm:
-        pts = np.vstack([palm_origin(domain)[None, :], pts])
-    return pts
+    return rng.random((n, domain.dim)) * np.asarray(domain.sides)

@@ -56,17 +56,6 @@ class ClusterReport:
         return bool(self.crossing_axes.any())
 
 
-def _empty_report(labels: np.ndarray, d: int) -> ClusterReport:
-    return ClusterReport(
-        labels=labels,
-        component_sizes=np.zeros(0, dtype=np.int64),
-        crossing_axes=np.zeros((0, d), dtype=bool),
-        origin_component=-1,
-        max_origin_distance=0.0,
-        diameter=0.0,
-    )
-
-
 def _components(n: int, edges: np.ndarray) -> np.ndarray:
     """Component labels of n nodes joined by (m, 2) edges, numbered in order
     of each component's first member."""
@@ -75,13 +64,50 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
     return connected_components(graph, directed=False)[1].astype(np.int64)
 
 
-def _crossing(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(k, d) flags: components holding a member with lo and one with hi on
-    each axis; lo and hi are (n, d) member flags."""
-    k = labels.max() + 1
-    return np.stack([(np.bincount(labels[lo[:, ax]], minlength=k) > 0)
-                     & (np.bincount(labels[hi[:, ax]], minlength=k) > 0)
-                     for ax in range(lo.shape[1])], axis=1)
+def _census(n: int, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic: bool,
+            origin: int, reach, diameter) -> ClusterReport:
+    """The report of n nodes joined by (m, 2) edges.
+
+    lo and hi are (n, d) flags of the nodes touching the low and high wall of
+    each axis; a component crosses an axis when it holds one of each. On a
+    torus nothing crosses, since wrap adjacency leaves no walls. origin is
+    the node holding the origin, or -1; reach and diameter map the members
+    of its component to their measures.
+    """
+    labels = _components(n, edges)
+    k = int(labels.max(initial=-1)) + 1
+    if periodic:
+        crossing = np.zeros((k, lo.shape[1]), dtype=bool)
+    else:
+        crossing = np.stack([(np.bincount(labels[lo[:, ax]], minlength=k) > 0)
+                             & (np.bincount(labels[hi[:, ax]], minlength=k) > 0)
+                             for ax in range(lo.shape[1])], axis=1)
+    if origin >= 0:
+        oc = int(labels[origin])
+        member = np.flatnonzero(labels == oc)
+        max_reach, diam = reach(member), diameter(member)
+    else:
+        oc, max_reach, diam = -1, 0.0, 0.0
+    return ClusterReport(labels=labels, component_sizes=np.bincount(labels, minlength=k),
+                         crossing_axes=crossing, origin_component=oc,
+                         max_origin_distance=max_reach, diameter=diam)
+
+
+def _ball_edges(centers: np.ndarray, radii: np.ndarray, domain: Domain) -> np.ndarray:
+    """(m, 2) pairs of overlapping balls; tangency does not connect.
+
+    Ball i proposes its partners within 2 r_i that precede it in (radius,
+    index) order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed
+    distance decides.
+    """
+    tree = kd_tree(centers, domain)
+    lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + SLACK), return_sorted=False)
+    i = np.repeat(np.arange(len(radii)), [len(x) for x in lists])
+    j = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i))
+    keep = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
+    i, j = i[keep], j[keep]
+    overlap = distance(centers[i], centers[j], domain) < radii[i] + radii[j]
+    return np.stack([i[overlap], j[overlap]], axis=1)
 
 
 def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
@@ -89,136 +115,86 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     radii = np.asarray(model.radii)
     if np.any(~np.isfinite(radii)):
         raise PercolationError("infinite radius in model")
-    centers = model.centers
-    if model.n_balls == 0:
-        return _empty_report(np.zeros(0, dtype=np.int64), domain.dim)
-    # Ball i proposes its partners within 2 r_i that precede it in (radius, index)
-    # order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed distance decides.
-    tree = kd_tree(centers, domain)
-    lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + SLACK), return_sorted=False)
-    i = np.repeat(np.arange(model.n_balls), [len(x) for x in lists])
-    j = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i))
-    keep = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
-    i, j = i[keep], j[keep]
-    overlap = distance(centers[i], centers[j], domain) < radii[i] + radii[j]
-    labels = _components(model.n_balls, np.stack([i[overlap], j[overlap]], axis=1))
-    if domain.periodic:
-        crossing = np.zeros((labels.max() + 1, domain.dim), dtype=bool)
-    else:
-        r = radii[:, None]
-        crossing = _crossing(labels, centers - r <= 0.0, centers + r >= np.asarray(domain.sides))
-
+    centers, r = model.centers, radii[:, None]
+    edges = _ball_edges(centers, radii, domain)
     d_origin = distance(palm_origin(domain)[None, :], centers, domain)
     covering = d_origin < radii
-    if np.any(covering):
-        oc = int(labels[np.argmax(covering)])
-        sub = np.flatnonzero(labels == oc)
-        max_reach = float(np.max(d_origin[sub] + radii[sub]))
+
+    def diameter(sub):
         # Largest d_ij + r_i + r_j, over row blocks of about geometry.BLOCK pairs.
         step = max(1, geometry.BLOCK // sub.size)
-        diam = max(float((distance(centers[sub[s:s + step], None], centers[sub][None], domain)
+        return max(float((distance(centers[sub[s:s + step], None], centers[sub][None], domain)
                           + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
                    for s in range(0, sub.size, step))
-    else:
-        oc, max_reach, diam = -1, 0.0, 0.0
-    return ClusterReport(
-        labels=labels,
-        component_sizes=np.bincount(labels),
-        crossing_axes=crossing,
-        origin_component=oc,
-        max_origin_distance=max_reach,
-        diameter=diam,
-    )
+
+    return _census(model.n_balls, edges, centers - r <= 0.0,
+                   centers + r >= np.asarray(domain.sides), domain.periodic,
+                   int(np.argmax(covering)) if covering.any() else -1,
+                   lambda sub: float(np.max(d_origin[sub] + radii[sub])), diameter)
 
 
 def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     """Face-adjacency components of a boolean cell mask over the grid."""
-    shape = grid.shape
+    shape, h, d = grid.shape, grid.spacing, grid.domain.dim
     flat = np.asarray(mask, dtype=bool).ravel()
     if flat.size != grid.n_cells:
         raise PercolationError("mask size does not match grid")
-    labels = np.full(flat.size, -1, dtype=np.int64)
     on = np.flatnonzero(flat)
-    if on.size == 0:
-        return _empty_report(labels, grid.domain.dim)
     # Face edges between masked cells: each cell and its successor along an
     # axis, both numbered in the index grid (-1 off the mask); an open box
     # drops the last slice, which has no successor.
-    idx = labels.copy()
+    idx = np.full(flat.size, -1, dtype=np.int64)
     idx[on] = np.arange(on.size)
-    idx = idx.reshape(shape)
+    grid_idx = idx.reshape(shape)
     edges = []
-    for ax in range(len(shape)):
-        a, b = idx, np.roll(idx, -1, axis=ax)
+    for ax in range(d):
+        a, b = grid_idx, np.roll(grid_idx, -1, axis=ax)
         if not grid.domain.periodic:
             cut = (slice(None),) * ax + (slice(0, -1),)
             a, b = a[cut], b[cut]
         both = (a >= 0) & (b >= 0)
         edges.append(np.stack([a[both], b[both]], axis=1))
-    sub_labels = _components(on.size, np.concatenate(edges))
-    labels[on] = sub_labels
-
-    d = grid.domain.dim
-    # Wrap adjacency makes face-touching meaningless on the torus; crossing
-    # flags are an open-mode statistic.
-    if grid.domain.periodic:
-        crossing = np.zeros((sub_labels.max() + 1, d), dtype=bool)
-    else:
-        multi = np.stack(np.unravel_index(on, shape), axis=1)
-        crossing = _crossing(sub_labels, multi == 0, multi == np.asarray(shape) - 1)
-
+    multi = np.stack(np.unravel_index(on, shape), axis=1)
+    # the cell holding the origin (the box center in open mode, the corner on a torus)
     origin = palm_origin(grid.domain)
-    origin_flat = _containing_cell(origin, grid)
-    if flat[origin_flat]:
-        oc = int(labels[origin_flat])
-        member = on[sub_labels == oc]
-        cells = grid.cell_centers()
-        dorig = distance(origin[None, :], cells[member], grid.domain)
-        max_reach = float(dorig.max() + grid.spacing * math.sqrt(d) / 2)
-        diam = _component_diameter(member, grid)
-    else:
-        oc, max_reach, diam = -1, 0.0, 0.0
-    return ClusterReport(
-        labels=labels,
-        component_sizes=np.bincount(sub_labels),
-        crossing_axes=crossing,
-        origin_component=oc,
-        max_origin_distance=max_reach,
-        diameter=diam,
-    )
+    home = np.minimum(origin // h, np.asarray(shape) - 1).astype(np.int64)
+
+    def reach(member):
+        dorig = distance(origin[None, :], (multi[member] + 0.5) * h, grid.domain)
+        return float(dorig.max() + h * math.sqrt(d) / 2)
+
+    report = _census(on.size, np.concatenate(edges), multi == 0,
+                     multi == np.asarray(shape) - 1, grid.domain.periodic,
+                     int(idx[np.ravel_multi_index(tuple(home), shape)]), reach,
+                     lambda member: _component_diameter(multi[member], grid))
+    idx[on] = report.labels
+    return replace(report, labels=idx)
 
 
-def _containing_cell(point: np.ndarray, grid: SiteGrid) -> int:
-    shape = grid.shape
-    ix = tuple(
-        min(int(point[i] // grid.spacing), shape[i] - 1) for i in range(len(shape))
-    )
-    return int(np.ravel_multi_index(ix, shape))
+def _component_diameter(cells: np.ndarray, grid: SiteGrid) -> float:
+    """Largest distance between the midpoints of the (m, d) index vectors
+    cells, plus the cell diagonal h*sqrt(d).
 
-
-def _component_diameter(member: np.ndarray, grid: SiteGrid) -> float:
-    """Largest distance between the midpoints of the member cells, plus the
-    cell diagonal h*sqrt(d).
-
-    On a torus the member pairs differ by the grid shifts at which the
-    circular autocorrelation of the cluster's indicator is positive (it
-    counts the pairs, so it exceeds 0.5 exactly there); a shift's length is
-    the distance from cell 0 to the cell it reaches. An open box is first
-    zero-padded to twice each side: there the circular autocorrelation is
-    the linear one, and a shift shorter than the side is its own minimum
-    image.
+    The member pairs differ by the shifts at which the circular
+    autocorrelation of the cells' indicator is positive (it counts the
+    pairs, so it exceeds 0.5 exactly there). On a torus it runs on the cell
+    grid. In an open box it runs on the cells' bounding box, padded to 2e - 1
+    cells on an axis where they span e: there the circular autocorrelation is
+    the linear one. Either way, shift k on an axis of n cells has length
+    min(k, n - k)*h.
     """
-    pad = 1 if grid.domain.periodic else 2
-    torus = SiteGrid(domain=Domain(tuple(pad * L for L in grid.domain.sides), periodic=True),
-                     spacing=grid.spacing)
-    cube = np.zeros(torus.shape)
-    cube[np.unravel_index(member, grid.shape)] = 1.0
+    if grid.domain.periodic:
+        shape = grid.shape
+    else:
+        cells = cells - cells.min(axis=0)
+        shape = tuple(int(n) for n in 2 * cells.max(axis=0) + 1)
+    cube = np.zeros(shape)
+    cube[tuple(cells.T)] = 1.0
     spectrum = np.fft.rfftn(cube)
-    pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=torus.shape,
-                          axes=range(grid.domain.dim)).ravel() > 0.5
-    cells = torus.cell_centers()
-    return float(distance(cells[0], cells[pairs], torus.domain).max()
-                 + grid.spacing * math.sqrt(grid.domain.dim))
+    pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=shape, axes=range(len(shape))) > 0.5
+    h = grid.spacing
+    sq = sum((np.minimum(k, n - k) * h) ** 2 for k, n in zip(np.nonzero(pairs), shape))
+    return float(np.sqrt(sq.max()) + h * math.sqrt(len(shape)))
 
 
 def claimed_components(alloc: AllocationResult, grid: SiteGrid) -> ClusterReport:
@@ -234,26 +210,15 @@ def crossing_event(model: BooleanModel, domain: Domain, x: np.ndarray,
     if beta <= 0:
         raise PercolationError("radius band upper end must be positive")
     x = np.asarray(x, dtype=float)
-    if domain.periodic:
-        if min(domain.sides) < 6 * beta:
-            raise PercolationError("window too small for the crossing event")
-    else:
-        if np.any(x - 3 * beta < 0) or np.any(x + 3 * beta > np.asarray(domain.sides)):
-            raise PercolationError("window too small for the crossing event")
-    radii = model.radii
-    sel = (radii >= radius_low) & (radii <= beta)
-    if not np.any(sel):
-        return False
-    sub = BooleanModel(
-        centers=model.centers[sel],
-        radii=radii[sel],
-        min_radius=model.min_radius,
-        truncated=model.truncated[sel],
-    )
-    report = ball_components(sub, domain)
-    d_x = distance(x[None, :], sub.centers, domain)
-    touches_inner = report.labels[d_x < sub.radii + beta]
-    exits_outer = report.labels[d_x + sub.radii > 2 * beta]
+    if (min(domain.sides) < 6 * beta if domain.periodic
+            else np.any(x - 3 * beta < 0) or np.any(x + 3 * beta > np.asarray(domain.sides))):
+        raise PercolationError("window too small for the crossing event")
+    sel = (model.radii >= radius_low) & (model.radii <= beta)
+    centers, radii = model.centers[sel], model.radii[sel]
+    labels = _components(len(radii), _ball_edges(centers, radii, domain))
+    d_x = distance(x[None, :], centers, domain)
+    touches_inner = labels[d_x < radii + beta]
+    exits_outer = labels[d_x + radii > 2 * beta]
     return bool(np.intersect1d(touches_inner, exits_outer).size)
 
 

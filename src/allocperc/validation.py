@@ -168,8 +168,8 @@ def _not_monotone(rng, i) -> bool:
 
 def _undominated(rng, i) -> bool:
     """A claimed cell lies outside its center's dominating ball."""
-    domain = Domain(sides=(10.0, 10.0), periodic=True)
-    grid = SiteGrid(domain=domain, spacing=0.125)
+    domain = Domain(sides=(5.0, 5.0), periodic=True)
+    grid = SiteGrid(domain=domain, spacing=0.0625)
     centers = sample_poisson(domain, 1.0, rng)
     if len(centers) == 0:
         return False

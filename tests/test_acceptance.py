@@ -23,7 +23,6 @@ from allocperc.booleanmodel import (
     build_boolean,
     check_domination,
     compute_radius,
-    compute_radius_truncated,
     min_radius,
     tail_statistics,
 )
@@ -220,9 +219,9 @@ def test_criterion_7_locality():
         local_ids = np.flatnonzero(d_x < 3 * r)
         local = PointConfiguration(centers[local_ids], config.appetites[local_ids])
         for gi in inside:
-            full_in = compute_radius_truncated(int(gi), config, dom, cap=r) < r
+            full_in = compute_radius(int(gi), config, dom) < r
             li = int(np.searchsorted(local_ids, gi))
-            local_in = compute_radius_truncated(li, local, dom, cap=r) < r
+            local_in = compute_radius(li, local, dom) < r
             mismatches += full_in != local_in
     report(7, mismatches == 0, f"{mismatches} local/global set mismatches")
 

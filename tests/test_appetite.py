@@ -14,7 +14,6 @@ from allocperc.appetite import (
     AppetiteDistribution,
     _truncated_moment,
     moment_report,
-    sample_appetite,
     sample_appetites,
 )
 from allocperc.geometry import replica_rng
@@ -51,7 +50,7 @@ def oracle_moment(family, params, floor, q):
 
 def test_constant_family():
     dist = AppetiteDistribution("constant", {"value": 1.0}, scale=0.5)
-    assert sample_appetite(dist, replica_rng(0)) == 0.5
+    assert sample_appetites(dist, 1, replica_rng(0))[0] == 0.5
 
 
 def test_zero_scale_is_zero():

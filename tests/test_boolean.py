@@ -12,7 +12,6 @@ from allocperc.booleanmodel import (
     build_boolean,
     check_domination,
     compute_radius,
-    compute_radius_truncated,
     min_radius,
     tail_statistics,
 )
@@ -82,15 +81,16 @@ def test_truncated_cap_semantics():
     a = 0.7
     config, dom = unit_square_config([[5.0, 5.0]], [a])
     r = (a / math.pi) ** 0.5
-    assert compute_radius_truncated(0, config, dom, cap=2 * r) == pytest.approx(r, abs=1e-12)
-    assert compute_radius_truncated(0, config, dom, cap=r / 2) == pytest.approx(r / 2)
+    assert min(compute_radius(0, config, dom), 2 * r) == pytest.approx(r, abs=1e-12)
+    assert min(compute_radius(0, config, dom), r / 2) == pytest.approx(r / 2)
     # cap below the minimum radius: no root at all
-    assert compute_radius_truncated(0, config, dom, cap=0.01) == pytest.approx(0.01)
+    assert min(compute_radius(0, config, dom), 0.01) == pytest.approx(0.01)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_truncation_consistency(seed):
-    # R < cap or truncated < cap forces equality with the full radius
+    # R < cap or truncated < cap forces equality with the full radius of
+    # the whole model
     dom = Domain(sides=(12.0, 12.0), periodic=True)
     rng = replica_rng(seed + 70)
     centers = sample_poisson(dom, 0.8, rng)
@@ -98,9 +98,10 @@ def test_truncation_consistency(seed):
         pytest.skip("empty draw")
     config = PointConfiguration(centers, rng.uniform(0.05, 0.5, size=len(centers)))
     cap = 0.6
+    radii = build_boolean(config, dom).radii
     for j in range(min(len(centers), 20)):
-        full = compute_radius(j, config, dom)
-        trunc = compute_radius_truncated(j, config, dom, cap=cap)
+        full = radii[j]
+        trunc = min(compute_radius(j, config, dom), cap)
         if full < cap or trunc < cap:
             assert trunc == full
         else:
@@ -126,10 +127,10 @@ def test_locality_of_truncated_radii(seed):
     local_set = set()
     local_ids = np.flatnonzero(local_mask)
     for gi in np.flatnonzero(inside):
-        if compute_radius_truncated(gi, config, dom, cap=r) < r:
+        if compute_radius(gi, config, dom) < r:
             global_set.add(gi)
         li = int(np.searchsorted(local_ids, gi))
-        if compute_radius_truncated(li, local, dom, cap=r) < r:
+        if compute_radius(li, local, dom) < r:
             local_set.add(gi)
     assert global_set == local_set
 
@@ -229,7 +230,7 @@ def assert_matches_dense(config, dom, cap):
     model = build_boolean(config, dom)
     assert np.array_equal(model.radii, radii)
     assert np.array_equal(model.truncated, truncated)
-    capped = [compute_radius_truncated(j, config, dom, cap) for j in range(config.n_centers)]
+    capped = [min(compute_radius(j, config, dom), cap) for j in range(config.n_centers)]
     assert np.array_equal(capped, np.minimum(radii, cap))
     return radii
 

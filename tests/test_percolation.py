@@ -9,7 +9,7 @@ from allocperc import allocation, geometry, percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import BooleanModel
-from allocperc.geometry import Domain, distance, replica_rng, sample_poisson
+from allocperc.geometry import Domain, distance, palm_origin, replica_rng, sample_poisson
 from allocperc.percolation import (
     PercolationError,
     ball_components,
@@ -282,11 +282,33 @@ def test_periodic_origin_diameter_matches_all_pairs(seed):
                                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("cells, fft_cells, want", [
+    ([(4, 4, 4)], 1, 0.0),  # one cell: prod(2e - 1) = 1, not the 4096 of a padded box
+    ([(4, 4, 4), (4, 5, 4), (4, 6, 4), (5, 6, 4)], 3 * 5 * 1, math.sqrt(1.0 + 0.25)),
+], ids=["one-cell", "l-shape"])
+def test_open_diameter_pads_only_the_component_box(cells, fft_cells, want, monkeypatch):
+    grid = SiteGrid(domain=Domain(sides=(4.0,) * 3, periodic=False), spacing=0.5)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[tuple(np.transpose(cells))] = True
+    real_rfftn = np.fft.rfftn
+    sizes = []
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.asarray(a).size)
+        return real_rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    report = mask_components(mask, grid)
+    assert report.origin_component == 0
+    assert sizes == [fft_cells]
+    assert report.diameter == pytest.approx(want + 0.5 * math.sqrt(3), rel=1e-12)
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_ball_origin_diameter_in_small_blocks(periodic, monkeypatch):
     dom = Domain(sides=(12.0, 12.0), periodic=periodic)
     rng = replica_rng(61)
-    centers = sample_poisson(dom, 1.0, rng, palm=True)  # a ball covers the origin
+    centers = np.vstack([palm_origin(dom)[None], sample_poisson(dom, 1.0, rng)])  # a ball covers the origin
     model = make_model(centers, rng.uniform(0.3, 0.9, size=len(centers)))
     want = ball_components(model, dom)
     monkeypatch.setattr(geometry, "BLOCK", 7)
