@@ -10,10 +10,12 @@ is below the finiteness threshold.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
 from .geometry import Domain, distance, kd_tree, nearest_until, unit_ball_volume
 
@@ -51,7 +53,21 @@ def min_radius(scale: float, floor: float, d: int) -> float:
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
 
 
-def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray) -> np.ndarray:
+# The thread's last build_boolean: (key, its rows below 2 r_i as (i, j, distance)).
+_memo = threading.local()
+
+
+def _key(centers: np.ndarray, radii: np.ndarray, domain: Domain) -> tuple:
+    return (domain, centers.tobytes(), radii.tobytes())  # all the rows depend on
+
+
+def _near_pairs(centers: np.ndarray, radii: np.ndarray, domain: Domain):
+    """The rows kept by the thread's last build_boolean if it built these balls, else None."""
+    key, rows = getattr(_memo, "pairs", None) or (None, None)
+    return rows if key == _key(centers, radii, domain) else None
+
+
+def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray):
     """Dominating radii of the centers rows.
 
     A radius r depends only on the centers within 2r, so each center sweeps
@@ -59,13 +75,17 @@ def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray) -> np.n
     row's bound. k starts at 2, the center and its nearest neighbour, and
     doubles until the row's first root r has 2r < bound, or the row holds
     every center. A row holds the distances of the dense matrix in
-    (distance, index) order, so ties and floats match a full-row sweep.
+    (distance, index) order, so ties and floats match a full-row sweep. Also
+    returns the rows' entries below 2r as (i, j, distance) arrays, or None
+    where they exceed geometry.BLOCK triples.
     """
     _require_floor(config)
     pi_d = unit_ball_volume(domain.dim)
     out = np.empty(len(rows))
+    kept = []
 
     def sweep(own, nbr, sd, bound, k):
+        nonlocal kept
         # The breakpoints are half distances. Entries at or past the bound
         # have distance inf and get appetite 0, so they add nothing and open
         # no interval.
@@ -82,18 +102,21 @@ def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray) -> np.n
         # A full row is final even where an infinite appetite gives r = inf.
         done = (2.0 * r < bound) | (bound == np.inf)
         out[own[done]] = r[done]
+        near = done[:, None] & (sd < 2.0 * r[:, None])
+        fits = kept is not None and sum(len(x[0]) for x in kept) + near.sum() <= geometry.BLOCK
+        kept = kept + [(np.repeat(own, near.sum(axis=1)), nbr[near], sd[near])] if fits else None
         return done
 
     centers = config.centers
     nearest_until(kd_tree(centers, domain), centers[rows], centers, domain, sweep)
-    return out
+    return out, tuple(map(np.concatenate, zip(*kept))) if kept else None
 
 
 def compute_radius(
     center_index: int, config: PointConfiguration, domain: Domain
 ) -> float:
     """Dominating radius of one center, by exact breakpoint sweep."""
-    return float(_radii(config, domain, np.array([center_index]))[0])
+    return float(_radii(config, domain, np.array([center_index]))[0][0])
 
 
 def _require_floor(config: PointConfiguration) -> None:
@@ -111,7 +134,9 @@ def build_boolean(config: PointConfiguration, domain: Domain) -> BooleanModel:
     half the distance to the nearest open wall.
     """
     n = config.n_centers
-    radii = _radii(config, domain, np.arange(n))
+    _memo.pairs = None  # free the old entry before the build
+    radii, near = _radii(config, domain, np.arange(n))
+    _memo.pairs = None if near is None else (_key(config.centers, radii, domain), near)
     sides = np.asarray(domain.sides)
     if domain.periodic:
         caps = np.full(n, sides.min() / 4.0)

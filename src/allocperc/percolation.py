@@ -21,7 +21,7 @@ from .allocation import (
     sample_replica,
 )
 from .appetite import AppetiteDistribution
-from .booleanmodel import BooleanModel
+from .booleanmodel import BooleanModel, _near_pairs
 from .geometry import SLACK, Domain, distance, kd_tree, palm_origin
 
 
@@ -98,15 +98,20 @@ def _ball_edges(centers: np.ndarray, radii: np.ndarray, domain: Domain) -> np.nd
 
     Ball i proposes its partners within 2 r_i that precede it in (radius,
     index) order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed
-    distance decides.
+    distance decides. They come from the rows of the thread's last
+    build_boolean of these balls, else from a kd-tree.
     """
-    tree = kd_tree(centers, domain)
-    lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + SLACK), return_sorted=False)
-    i = np.repeat(np.arange(len(radii)), [len(x) for x in lists])
-    j = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i))
+    near = _near_pairs(centers, radii, domain)
+    if near is None:
+        tree = kd_tree(centers, domain)
+        lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + SLACK), return_sorted=False)
+        i = np.repeat(np.arange(len(radii)), [len(x) for x in lists])
+        near = i, np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i)), None
+    i, j, d = near
     keep = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
     i, j = i[keep], j[keep]
-    overlap = distance(centers[i], centers[j], domain) < radii[i] + radii[j]
+    d = distance(centers[i], centers[j], domain) if d is None else d[keep]
+    overlap = d < radii[i] + radii[j]
     return np.stack([i[overlap], j[overlap]], axis=1)
 
 

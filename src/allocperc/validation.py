@@ -11,10 +11,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocation import TIE, PointConfiguration, SiteGrid, gale_shapley, verify_stability
-from .appetite import AppetiteDistribution, sample_appetites
+from .allocation import (
+    TIE,
+    TIE_REL_TOL,
+    UNCLAIMED,
+    AllocationError,
+    AllocationResult,
+    PointConfiguration,
+    SiteGrid,
+    cell_quotas,
+    gale_shapley,
+    verify_stability,
+)
+from .appetite import AppetiteDistribution, moment_report, sample_appetites
 from .booleanmodel import BooleanModel, build_boolean, check_domination, compute_radius
-from .bounds import poisson_chernoff
+from .bounds import finiteness_threshold, poisson_chernoff
 from .geometry import Domain, distance, replica_rng, sample_poisson, unit_ball_volume
 from .percolation import ball_components, map_ordered, mask_components
 
@@ -86,6 +97,149 @@ def bfs_ball_components_oracle(centers: np.ndarray, radii: np.ndarray,
     return labels
 
 
+def dense_gale_shapley(config, grid):
+    """Deferred acceptance over full dense preference rows, one (cells x
+    centers) distance matrix and its argsort. It shares no solver code with
+    gale_shapley, whose assignment it must equal, TIE cells included.
+
+    Each round every unassigned cell applies to the nearest center that has
+    not rejected it; each center keeps the nearest applicants up to its quota
+    and rejects the rest. Cells rejected everywhere end UNCLAIMED; cells whose
+    current and next candidate are equidistant within tolerance end TIE.
+    """
+    n_cells = grid.n_cells
+    n_centers = config.n_centers
+    status = np.full(n_cells, -3, dtype=np.int64)  # -3: not held
+    if n_centers == 0:
+        status[:] = UNCLAIMED
+        return AllocationResult(
+            assignment=status,
+            territory_volumes=np.zeros(0),
+            sated=np.ones(0, dtype=bool),
+            grid_shape=grid.shape,
+        )
+
+    cells = grid.cell_centers()
+    dist = distance(cells[:, None], config.centers[None], grid.domain)
+    pref = np.argsort(dist, axis=1, kind="stable")
+    sdist = np.take_along_axis(dist, pref, axis=1)
+    del dist
+
+    hd = grid.cell_volume
+    quota = cell_quotas(config.appetites, hd)
+    tie_tol = TIE_REL_TOL * grid.spacing  # the value at import: a patched rule stays visible
+
+    ptr = np.zeros(n_cells, dtype=np.int64)  # index into pref of current candidate
+    held = np.zeros(n_cells, dtype=bool)
+    decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED or TIE, final
+    # A full center never again accepts strictly beyond its current worst
+    # held distance; cutoffs only shrink, so skipping on them is safe.
+    cutoff = np.where(quota == 0, -np.inf, np.inf)
+    full = quota == 0
+
+    cell_idx = np.arange(n_cells)
+    max_rounds = 10 * max(n_cells, 1)
+    for _ in range(max_rounds):
+        active = cell_idx[~decided & ~held]
+        if active.size == 0:
+            break
+
+        # Fast-forward past centers certain to reject; each cell is touched
+        # once per skipped candidate, not once per loop pass.
+        settled = []
+        work = active
+        while work.size:
+            cand = pref[work, ptr[work]]
+            dcand = sdist[work, ptr[work]]
+            skip = full[cand] & (dcand > cutoff[cand])
+            settled.append(work[~skip])
+            bumped = work[skip]
+            ptr[bumped] += 1
+            alive = ptr[bumped] < n_centers
+            exhausted = bumped[~alive]
+            status[exhausted] = UNCLAIMED
+            decided[exhausted] = True
+            work = bumped[alive]
+        applicants = np.concatenate(settled) if settled else active
+
+        pool = np.concatenate([applicants, cell_idx[held & ~decided]])
+        pool = np.unique(pool)
+        if pool.size == 0:
+            remaining = cell_idx[~decided & ~held]
+            status[remaining] = UNCLAIMED
+            decided[remaining] = True
+            break
+
+        cand = pref[pool, ptr[pool]]
+        dcand = sdist[pool, ptr[pool]]
+
+        # Equidistant next candidate: the cell sits on a territory boundary.
+        applying = ~held[pool]
+        has_next = ptr[pool] + 1 < n_centers
+        nxt = np.where(has_next, np.minimum(ptr[pool] + 1, n_centers - 1), ptr[pool])
+        dnext = sdist[pool, nxt]
+        tied = applying & has_next & (dnext - dcand < tie_tol)
+        if np.any(tied):
+            tcells = pool[tied]
+            status[tcells] = TIE
+            decided[tcells] = True
+            keepm = ~tied
+            pool, cand, dcand = pool[keepm], cand[keepm], dcand[keepm]
+            if pool.size == 0:  # every applicant tied
+                break
+
+        # Dense pool: every undecided cell's candidate center ranks it among
+        # held + new applicants; keep the quota nearest.
+        order = np.lexsort((pool, dcand, cand))
+        gc = cand[order]
+        starts = np.flatnonzero(np.r_[True, gc[1:] != gc[:-1]])
+        group_of = np.cumsum(np.r_[True, gc[1:] != gc[:-1]]) - 1
+        rank = np.arange(len(order)) - starts[group_of]
+        keep = rank < quota[gc]
+
+        kept_cells = pool[order[keep]]
+        rej_cells = pool[order[~keep]]
+        held[kept_cells] = True
+        held[rej_cells] = False
+        ptr[rej_cells] += 1
+        exhausted = rej_cells[ptr[rej_cells] >= n_centers]
+        status[exhausted] = UNCLAIMED
+        decided[exhausted] = True
+
+        # Group sizes / new cutoffs for the fast-forward phase.
+        sizes = np.diff(np.r_[starts, len(order)])
+        heads = gc[starts]
+        grp_full = sizes >= quota[heads]
+        full[heads] = grp_full
+        kept_d = dcand[order[keep]]
+        kept_c = gc[keep]
+        if kept_c.size:
+            kstarts = np.flatnonzero(np.r_[True, kept_c[1:] != kept_c[:-1]])
+            kends = np.r_[kstarts[1:], len(kept_c)] - 1
+            worst = kept_d[kends]
+            kheads = kept_c[kstarts]
+            cutoff[kheads] = np.where(full[kheads], worst, np.inf)
+
+        if rej_cells.size == 0 and not np.any(~decided & ~held):
+            break
+    else:
+        raise AllocationError("deferred acceptance exceeded the round cap")
+
+    held_cells = cell_idx[held]
+    status[held_cells] = pref[held_cells, ptr[held_cells]]
+
+    counts = np.bincount(status[status >= 0], minlength=n_centers)
+    volumes = counts * hd
+    # Satedness tolerant to one-cell quantization of the last shell.
+    sated = volumes >= config.appetites - hd
+    return AllocationResult(
+        assignment=status,
+        territory_volumes=volumes,
+        sated=sated,
+        grid_shape=grid.shape,
+    )
+
+
 def floodfill_mask_oracle(mask: np.ndarray, periodic: bool) -> np.ndarray:
     """Component labels of a boolean grid by iterative flood fill."""
     shape = mask.shape
@@ -134,6 +288,32 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
+def _report_differs(report, fast: np.ndarray, slow: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray, periodic: bool) -> bool:
+    """Does a ClusterReport disagree with the oracle labels slow of its nodes?
+
+    fast are the report's labels of the same nodes, lo and hi their (n, d)
+    flags of touching the low and high wall of each axis. An oracle component
+    crosses an axis when it holds a node touching each wall; on a torus
+    nothing crosses. Each node's component must cross where its oracle
+    component does.
+    """
+    if not same_partition(fast, slow):
+        return True
+    crossing = np.stack([np.isin(slow, np.intersect1d(slow[lo[:, ax]], slow[hi[:, ax]]))
+                         for ax in range(lo.shape[1])], axis=1) & (not periodic)
+    return not np.array_equal(report.crossing_axes[fast], crossing)
+
+
+def _balls_differ(model: BooleanModel, domain: Domain) -> bool:
+    """ball_components disagrees with BFS on the labels or crossing flags."""
+    centers, radii = model.centers, model.radii
+    report = ball_components(model, domain)
+    slow = bfs_ball_components_oracle(centers, radii, domain)
+    return _report_differs(report, report.labels, slow, centers - radii[:, None] <= 0.0,
+                           centers + radii[:, None] >= np.asarray(domain.sides), domain.periodic)
+
+
 def _unstable(rng, i) -> bool:
     """Deferred acceptance leaves an unstable pair."""
     domain = Domain(sides=(8.0, 8.0), periodic=bool(i % 2))
@@ -180,16 +360,27 @@ def _undominated(rng, i) -> bool:
 
 
 def _ball_partition_differs(rng, i) -> bool:
-    """csgraph and BFS disagree on the components of a ball union."""
+    """csgraph and BFS disagree on the components of a hand-built ball union."""
     domain = Domain(sides=(10.0, 10.0), periodic=bool(i % 2))
     centers = sample_poisson(domain, 1.0, rng)
     if len(centers) == 0:
         return False
     radii = rng.uniform(0.2, 0.8, size=len(centers))
-    model = BooleanModel(centers=centers, radii=radii, min_radius=0.2,
-                         truncated=np.zeros(len(radii), dtype=bool))
-    return not same_partition(ball_components(model, domain).labels,
-                              bfs_ball_components_oracle(centers, radii, domain))
+    return _balls_differ(BooleanModel(centers=centers, radii=radii, min_radius=0.2,
+                                      truncated=np.zeros(len(radii), dtype=bool)), domain)
+
+
+def _boolean_model_differs(rng, i) -> bool:
+    """csgraph and BFS disagree on the components of a dominating Boolean
+    model, labelled right after its build (from the rows the build kept)."""
+    domain = Domain(sides=(12.0, 12.0), periodic=bool(i % 2))
+    law = AppetiteDistribution("exponential", {"mean": 1.0}, floor=0.5)
+    law = replace(law, scale=0.9 * finiteness_threshold(1.0, 2, moment_report(law).mean))
+    centers = sample_poisson(domain, 1.0, rng)
+    if len(centers) == 0:
+        return False
+    config = PointConfiguration(centers, sample_appetites(law, len(centers), rng))
+    return _balls_differ(build_boolean(config, domain), domain)
 
 
 def _mask_partition_differs(rng, i) -> bool:
@@ -197,10 +388,33 @@ def _mask_partition_differs(rng, i) -> bool:
     domain = Domain(sides=(8.0, 8.0), periodic=bool(i % 2))
     grid = SiteGrid(domain=domain, spacing=0.5)
     mask = rng.random(grid.shape) < 0.5
-    on = mask.ravel()
-    fast = mask_components(mask, grid).labels
-    slow = floodfill_mask_oracle(mask, domain.periodic).ravel()
-    return not same_partition(fast[on], slow[on])
+    on, cells = mask.ravel(), np.argwhere(mask)
+    report = mask_components(mask, grid)
+    return _report_differs(report, report.labels[on],
+                           floodfill_mask_oracle(mask, domain.periodic).ravel()[on],
+                           cells == 0, cells == np.asarray(grid.shape) - 1, domain.periodic)
+
+
+def _not_dense_walk(rng, i) -> bool:
+    """Deferred acceptance and the dense walk assign some cell differently,
+    TIE cells included, on a shuffled 3-scale ladder of one set of centers."""
+    domain = Domain(sides=(6.0, 6.0), periodic=bool(i % 2))
+    grid = SiteGrid(domain=domain, spacing=0.25)
+    centers = sample_poisson(domain, 0.6, rng)
+    if len(centers) == 0:
+        return False
+    if i % 4 < 2:  # lattice centers, some on the same site
+        centers = np.floor(centers)
+    else:  # a third of the centers duplicated
+        centers = np.vstack([centers, centers[rng.integers(0, len(centers), len(centers) // 3)]])
+    draws = rng.random(len(centers))
+    law = AppetiteDistribution("exponential", {"mean": 1.0})
+    for scale in rng.permutation([0.3, 0.6, 1.2]):
+        config = PointConfiguration(centers, replace(law, scale=scale).quantile(draws))
+        if not np.array_equal(gale_shapley(config, grid).assignment,
+                              dense_gale_shapley(config, grid).assignment):
+            return True
+    return False
 
 
 def _chernoff_below_tail(rng, i) -> bool:
@@ -222,6 +436,8 @@ _CHECKS = (
     ("ball_components_vs_bfs", 4000, 20, _ball_partition_differs),
     ("mask_components_vs_floodfill", 5000, 20, _mask_partition_differs),
     ("poisson_chernoff_dominates_exact_tail", 6000, 16, _chernoff_below_tail),
+    ("boolean_model_components_vs_bfs", 7000, 20, _boolean_model_differs),
+    ("assignment_equals_dense_walk", 8000, 20, _not_dense_walk),
 )
 
 

@@ -11,11 +11,9 @@ from allocperc.allocation import (
     TIE,
     TIE_REL_TOL,
     UNCLAIMED,
-    AllocationError,
     AllocationResult,
     PointConfiguration,
     SiteGrid,
-    cell_quotas,
     gale_shapley,
     phase_diagnostics,
     sample_replica,
@@ -29,148 +27,7 @@ from allocperc.geometry import (
     sample_poisson,
     unit_ball_volume,
 )
-
-
-def dense_gale_shapley(config, grid):
-    """Oracle: deferred acceptance over full dense preference rows, one
-    (cells x centers) distance matrix and its argsort.
-
-    Each round every unassigned cell applies to the nearest center that has
-    not rejected it; each center keeps the nearest applicants up to its quota
-    and rejects the rest. Cells rejected everywhere end UNCLAIMED; cells whose
-    current and next candidate are equidistant within tolerance end TIE.
-    """
-    n_cells = grid.n_cells
-    n_centers = config.n_centers
-    status = np.full(n_cells, -3, dtype=np.int64)  # -3: not held
-    if n_centers == 0:
-        status[:] = UNCLAIMED
-        return AllocationResult(
-            assignment=status,
-            territory_volumes=np.zeros(0),
-            sated=np.ones(0, dtype=bool),
-            grid_shape=grid.shape,
-        )
-
-    cells = grid.cell_centers()
-    dist = distance(cells[:, None], config.centers[None], grid.domain)
-    pref = np.argsort(dist, axis=1, kind="stable")
-    sdist = np.take_along_axis(dist, pref, axis=1)
-    del dist
-
-    hd = grid.cell_volume
-    quota = cell_quotas(config.appetites, hd)
-    tie_tol = TIE_REL_TOL * grid.spacing
-
-    ptr = np.zeros(n_cells, dtype=np.int64)  # index into pref of current candidate
-    held = np.zeros(n_cells, dtype=bool)
-    decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED or TIE, final
-    # A full center never again accepts strictly beyond its current worst
-    # held distance; cutoffs only shrink, so skipping on them is safe.
-    cutoff = np.where(quota == 0, -np.inf, np.inf)
-    full = quota == 0
-
-    cell_idx = np.arange(n_cells)
-    max_rounds = 10 * max(n_cells, 1)
-    for _ in range(max_rounds):
-        active = cell_idx[~decided & ~held]
-        if active.size == 0:
-            break
-
-        # Fast-forward past centers certain to reject; each cell is touched
-        # once per skipped candidate, not once per loop pass.
-        settled = []
-        work = active
-        while work.size:
-            cand = pref[work, ptr[work]]
-            dcand = sdist[work, ptr[work]]
-            skip = full[cand] & (dcand > cutoff[cand])
-            settled.append(work[~skip])
-            bumped = work[skip]
-            ptr[bumped] += 1
-            alive = ptr[bumped] < n_centers
-            exhausted = bumped[~alive]
-            status[exhausted] = UNCLAIMED
-            decided[exhausted] = True
-            work = bumped[alive]
-        applicants = np.concatenate(settled) if settled else active
-
-        pool = np.concatenate([applicants, cell_idx[held & ~decided]])
-        pool = np.unique(pool)
-        if pool.size == 0:
-            remaining = cell_idx[~decided & ~held]
-            status[remaining] = UNCLAIMED
-            decided[remaining] = True
-            break
-
-        cand = pref[pool, ptr[pool]]
-        dcand = sdist[pool, ptr[pool]]
-
-        # Equidistant next candidate: the cell sits on a territory boundary.
-        applying = ~held[pool]
-        has_next = ptr[pool] + 1 < n_centers
-        nxt = np.where(has_next, np.minimum(ptr[pool] + 1, n_centers - 1), ptr[pool])
-        dnext = sdist[pool, nxt]
-        tied = applying & has_next & (dnext - dcand < tie_tol)
-        if np.any(tied):
-            tcells = pool[tied]
-            status[tcells] = TIE
-            decided[tcells] = True
-            keepm = ~tied
-            pool, cand, dcand = pool[keepm], cand[keepm], dcand[keepm]
-            if pool.size == 0:  # every applicant tied
-                break
-
-        # Dense pool: every undecided cell's candidate center ranks it among
-        # held + new applicants; keep the quota nearest.
-        order = np.lexsort((pool, dcand, cand))
-        gc = cand[order]
-        starts = np.flatnonzero(np.r_[True, gc[1:] != gc[:-1]])
-        group_of = np.cumsum(np.r_[True, gc[1:] != gc[:-1]]) - 1
-        rank = np.arange(len(order)) - starts[group_of]
-        keep = rank < quota[gc]
-
-        kept_cells = pool[order[keep]]
-        rej_cells = pool[order[~keep]]
-        held[kept_cells] = True
-        held[rej_cells] = False
-        ptr[rej_cells] += 1
-        exhausted = rej_cells[ptr[rej_cells] >= n_centers]
-        status[exhausted] = UNCLAIMED
-        decided[exhausted] = True
-
-        # Group sizes / new cutoffs for the fast-forward phase.
-        sizes = np.diff(np.r_[starts, len(order)])
-        heads = gc[starts]
-        grp_full = sizes >= quota[heads]
-        full[heads] = grp_full
-        kept_d = dcand[order[keep]]
-        kept_c = gc[keep]
-        if kept_c.size:
-            kstarts = np.flatnonzero(np.r_[True, kept_c[1:] != kept_c[:-1]])
-            kends = np.r_[kstarts[1:], len(kept_c)] - 1
-            worst = kept_d[kends]
-            kheads = kept_c[kstarts]
-            cutoff[kheads] = np.where(full[kheads], worst, np.inf)
-
-        if rej_cells.size == 0 and not np.any(~decided & ~held):
-            break
-    else:
-        raise AllocationError("deferred acceptance exceeded the round cap")
-
-    held_cells = cell_idx[held]
-    status[held_cells] = pref[held_cells, ptr[held_cells]]
-
-    counts = np.bincount(status[status >= 0], minlength=n_centers)
-    volumes = counts * hd
-    # Satedness tolerant to one-cell quantization of the last shell.
-    sated = volumes >= config.appetites - hd
-    return AllocationResult(
-        assignment=status,
-        territory_volumes=volumes,
-        sated=sated,
-        grid_shape=grid.shape,
-    )
+from allocperc.validation import dense_gale_shapley
 
 
 def random_instance(seed, periodic=True, sides=(8.0, 8.0), intensity=0.4,

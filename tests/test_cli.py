@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocperc import cli, validation
+from allocperc import allocation, cli, validation
 from allocperc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from allocperc.config import ConfigError, parse_config_file, parse_scale_grid, resolve_config
 from allocperc.percolation import SweepResult, SweepRow
@@ -191,23 +191,50 @@ def _merge(report):  # every labelled ball or cell in one component
     return dataclasses.replace(report, labels=np.where(report.labels >= 0, 0, report.labels))
 
 
-# fast path in allocperc.validation: (fault applied to its result, rows that catch it)
+def _flip(report):  # every crossing flag inverted
+    return dataclasses.replace(report, crossing_axes=~report.crossing_axes)
+
+
+def _on_result(fast_path, fault):  # fault applied to the result of a fast path in validation
+    def inject(monkeypatch):
+        original = getattr(validation, fast_path)
+        monkeypatch.setattr(validation, fast_path, lambda *a, **k: fault(original(*a, **k)))
+    return inject
+
+
+def _no_ties(monkeypatch):  # tie detection switched off, in and past the lists
+    monkeypatch.setattr(allocation, "TIE_REL_TOL", 0.0)
+    monkeypatch.setattr(allocation, "_tied_past_list",
+                        lambda tree, pts, *a: np.zeros(len(pts), dtype=bool))
+
+
+# fault: (its injection, rows that catch it)
 _FAULTS = {
-    "gale_shapley": (_collapse, ("stability", "ball_union_dominates_claimed_set")),
-    "compute_radius": (lambda r: r + 1e-8, ("radius_sweep_vs_bisection",)),
-    "ball_components": (_merge, ("ball_components_vs_bfs",)),
-    "mask_components": (_merge, ("mask_components_vs_floodfill",)),
-    "poisson_chernoff": (lambda bound: 0.0, ("poisson_chernoff_dominates_exact_tail",)),
-    "build_boolean": (lambda m: dataclasses.replace(m, radii=m.radii * 0.5),
+    "gale_shapley": (_on_result("gale_shapley", _collapse),
+                     ("stability", "ball_union_dominates_claimed_set")),
+    "compute_radius": (_on_result("compute_radius", lambda r: r + 1e-8),
+                       ("radius_sweep_vs_bisection",)),
+    "ball_components": (_on_result("ball_components", _merge),
+                        ("ball_components_vs_bfs", "boolean_model_components_vs_bfs")),
+    "ball_components_crossing": (_on_result("ball_components", _flip),
+                                 ("ball_components_vs_bfs", "boolean_model_components_vs_bfs")),
+    "mask_components": (_on_result("mask_components", _merge),
+                        ("mask_components_vs_floodfill",)),
+    "mask_components_crossing": (_on_result("mask_components", _flip),
+                                 ("mask_components_vs_floodfill",)),
+    "poisson_chernoff": (_on_result("poisson_chernoff", lambda bound: 0.0),
+                         ("poisson_chernoff_dominates_exact_tail",)),
+    "build_boolean": (_on_result("build_boolean",
+                                 lambda m: dataclasses.replace(m, radii=m.radii * 0.5)),
                       ("ball_union_dominates_claimed_set",)),
+    "tie_detection": (_no_ties, ("assignment_equals_dense_walk",)),
 }
 
 
-@pytest.mark.parametrize("fast_path", _FAULTS)
-def test_validate_reports_an_injected_fault(fast_path, cfg_file, tmp_path, monkeypatch):
-    fault, rows = _FAULTS[fast_path]
-    original = getattr(validation, fast_path)
-    monkeypatch.setattr(validation, fast_path, lambda *a, **k: fault(original(*a, **k)))
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_validate_reports_an_injected_fault(fault, cfg_file, tmp_path, monkeypatch):
+    inject, rows = _FAULTS[fault]
+    inject(monkeypatch)
     out = tmp_path / "run"
     assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_INVARIANT
     failures = {r[0]: int(r[2]) for r in read_csv(out / "validation.csv")[1:]}

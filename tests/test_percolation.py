@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from allocperc import allocation, geometry, percolation
+from allocperc import allocation, booleanmodel, geometry, percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
-from allocperc.appetite import AppetiteDistribution
-from allocperc.booleanmodel import BooleanModel
+from allocperc.appetite import AppetiteDistribution, sample_appetites
+from allocperc.booleanmodel import BooleanModel, build_boolean, compute_radius
 from allocperc.geometry import Domain, distance, palm_origin, replica_rng, sample_poisson
 from allocperc.percolation import (
     PercolationError,
@@ -129,6 +129,129 @@ def test_ball_components_proposes_per_ball(monkeypatch):
     ball_components(make_model(centers, radii), dom)
     within = int((distance(centers[:, None], centers[None], dom) <= 2 * radii[:, None]).sum())
     assert sizes[0] <= within  # the first distances recomputed are the proposed pairs
+
+
+LAWS = [AppetiteDistribution("exponential", {"mean": 1.0}, scale=0.15, floor=0.5),
+        AppetiteDistribution("pareto", {"scale": 0.5, "index": 1.1}, scale=0.15, floor=0.5),
+        AppetiteDistribution("lognormal", {"mu": -0.5, "sigma": 1.0}, scale=0.15, floor=0.5)]
+
+
+def built_models(d, periodic):
+    """build_boolean configs on a small box: each law with Poisson, lattice
+    and duplicated centers."""
+    dom = Domain(sides={1: (40.0,), 2: (9.0, 9.0), 3: (4.0, 4.0, 4.0)}[d], periodic=periodic)
+    for n, (law, kind) in enumerate((law, kind) for law in LAWS for kind in range(3)):
+        rng = replica_rng(40 * d + 20 * periodic + n, 5)
+        centers = sample_poisson(dom, 1.0, rng)
+        if kind == 1:  # lattice sites, some shared
+            centers = np.floor(centers)
+        elif kind == 2:  # a third of the centers duplicated
+            twins = rng.integers(0, len(centers), len(centers) // 3)
+            centers = np.vstack([centers, centers[twins]])
+        yield PointConfiguration(centers, sample_appetites(law, len(centers), rng)), dom
+
+
+def report_fields(report):
+    return (report.labels, report.component_sizes, report.crossing_axes, report.origin_component,
+            report.max_origin_distance, report.diameter)
+
+
+def spy_kd_trees(monkeypatch):
+    calls = []
+
+    def kd_tree(points, domain):
+        calls.append(len(points))
+        return geometry.kd_tree(points, domain)
+
+    monkeypatch.setattr(percolation, "kd_tree", kd_tree)
+    return calls
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_components_same_from_the_build_rows_as_from_a_kd_tree(d, periodic, monkeypatch):
+    calls = spy_kd_trees(monkeypatch)
+    for config, dom in built_models(d, periodic):
+        model = build_boolean(config, dom)
+        warm = ball_components(model, dom)
+        assert calls == []  # the rows came from the build
+        booleanmodel._memo.pairs = None
+        cold = ball_components(model, dom)
+        assert calls.pop() == config.n_centers
+        for a, b in zip(report_fields(warm), report_fields(cold)):
+            assert np.array_equal(a, b)
+        assert same_partition(warm.labels,
+                              bfs_ball_components_oracle(model.centers, model.radii, dom))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_changed_radii_miss_the_build_rows(factor, monkeypatch):
+    calls = spy_kd_trees(monkeypatch)
+    config, dom = next(built_models(2, False))
+    model = build_boolean(config, dom)
+    model = replace(model, radii=model.radii * factor)
+    report = ball_components(model, dom)
+    assert calls == [config.n_centers]
+    assert same_partition(report.labels,
+                          bfs_ball_components_oracle(model.centers, model.radii, dom))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_past_one_block_are_not_kept(seed, monkeypatch):
+    # a Pareto index below 1 gives rows holding every center
+    monkeypatch.setattr(geometry, "BLOCK", 64)
+    rng = replica_rng(seed + 600)
+    d = 1 + seed % 3
+    dom = Domain(sides=tuple(rng.uniform(3.0, 7.0, size=d)), periodic=bool(seed // 3 % 2))
+    centers = rng.random((int(rng.integers(30, 120)), d)) * np.asarray(dom.sides)
+    config = PointConfiguration(centers, 0.05 * (1.0 + rng.pareto(0.8, size=len(centers))))
+    model = build_boolean(config, dom)
+    assert (distance(centers[:, None], centers[None], dom) < 2.0 * model.radii[:, None]).sum() > 64
+    assert booleanmodel._memo.pairs is None
+    assert same_partition(ball_components(model, dom).labels,
+                          bfs_ball_components_oracle(model.centers, model.radii, dom))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_build_rows_of_no_center_or_one(n, monkeypatch):
+    calls = spy_kd_trees(monkeypatch)
+    dom = Domain(sides=(4.0, 4.0), periodic=False)
+    model = build_boolean(PointConfiguration(np.full((n, 2), 2.0), np.ones(n)), dom)
+    report = ball_components(model, dom)
+    assert report.n_components == n and report.labels.tolist() == [0] * n
+    assert report.origin_component == n - 1  # the one ball covers the box center
+    assert len(calls) == 1 - n  # no rows are kept without centers
+
+
+def test_compute_radius_keeps_the_build_rows(monkeypatch):
+    calls = spy_kd_trees(monkeypatch)
+    (config, dom), (other, _) = list(built_models(2, True))[:2]
+    model = build_boolean(config, dom)
+    compute_radius(0, other, dom)
+    compute_radius(1, config, dom)
+    ball_components(model, dom)
+    assert calls == []
+
+
+def test_build_rows_stay_with_their_thread(monkeypatch):
+    # each thread labels the model it built from its own rows, however the
+    # threads interleave
+    configs = list(built_models(2, False))
+    want = [ball_components(build_boolean(config, dom), dom).labels for config, dom in configs]
+    calls = spy_kd_trees(monkeypatch)
+
+    def task(config_dom):
+        config, dom = config_dom
+        return ball_components(build_boolean(config, dom), dom).labels
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = percolation.map_ordered(task, configs, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def crossing_event_brute(model, dom, x, radius_low, beta):
