@@ -8,7 +8,6 @@ assignment for the discretized instance.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -21,6 +20,8 @@ from .geometry import (
     GeometryError,
     distance,
     kd_tree,
+    keep,
+    kept,
     nearest_until,
     replica_rng,
     sample_poisson,
@@ -147,23 +148,19 @@ def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
 
 
 class _Lists(SimpleNamespace):
-    """Solve state that depends only on its key (grid, centers): cells, the
-    centers' kd-tree, each cell's PREF_K-nearest list nbr, nbr_d (inf past its
-    certified prefix) and length plen, all read-only; and clear, the sorted keys
+    """Solve state that depends only on (grid, centers): cells, the centers'
+    kd-tree, each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
+    prefix) and length plen, all read-only; and clear, the sorted keys
     cell * n_centers + center of pairs found tie-free past a list, then int64 max."""
 
 
-# One _Lists per thread, so a scale ladder (one map_ordered task) builds its
-# lists once. A hit returns what a build would: no result depends on it.
-_memo = threading.local()
-
-
 def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
-    """The thread's _Lists for these centers, built on a miss."""
-    key = (grid, PREF_K, geometry.BLOCK, centers.shape, centers.tobytes())  # all the build reads
-    if getattr(_memo, "lists", None) is not None and _memo.lists.key == key:
-        return _memo.lists
-    _memo.lists = None  # free the old entry before building the new one
+    """The thread's _Lists for these centers, built on a miss and kept under
+    "lists", so a scale ladder (one map_ordered task) builds them once."""
+    key = (grid, PREF_K, geometry.BLOCK, centers)  # all the build reads
+    if (lists := kept("lists", *key)) is not None:
+        return lists
+    keep(None, "lists")  # free the old entry before building the new one
     cells = grid.cell_centers()
     tree = kd_tree(centers, grid.domain)
     nbr = np.zeros((len(cells), min(PREF_K, len(centers))), dtype=np.int64)
@@ -177,9 +174,8 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
     for a in (cells, nbr, nbr_d, plen):
         a.setflags(write=False)
-    _memo.lists = _Lists(key=key, cells=cells, tree=tree, nbr=nbr, nbr_d=nbr_d, plen=plen,
-                         clear=np.array([np.iinfo(np.int64).max]))
-    return _memo.lists
+    return keep(_Lists(cells=cells, tree=tree, nbr=nbr, nbr_d=nbr_d, plen=plen,
+                       clear=np.array([np.iinfo(np.int64).max])), "lists", *key)
 
 
 def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult:

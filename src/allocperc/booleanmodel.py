@@ -10,14 +10,13 @@ is below the finiteness threshold.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, nearest_until, unit_ball_volume
+from .geometry import Domain, distance, kd_tree, keep, nearest_until, unit_ball_volume
 
 
 class BooleanModelError(ValueError):
@@ -51,20 +50,6 @@ class BooleanModel:
 def min_radius(scale: float, floor: float, d: int) -> float:
     """Hard lower bound on every radius, forced by the appetite floor."""
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
-
-
-# The thread's last build_boolean: (key, its rows below 2 r_i as (i, j, distance)).
-_memo = threading.local()
-
-
-def _key(centers: np.ndarray, radii: np.ndarray, domain: Domain) -> tuple:
-    return (domain, centers.tobytes(), radii.tobytes())  # all the rows depend on
-
-
-def _near_pairs(centers: np.ndarray, radii: np.ndarray, domain: Domain):
-    """The rows kept by the thread's last build_boolean if it built these balls, else None."""
-    key, rows = getattr(_memo, "pairs", None) or (None, None)
-    return rows if key == _key(centers, radii, domain) else None
 
 
 def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray):
@@ -134,9 +119,9 @@ def build_boolean(config: PointConfiguration, domain: Domain) -> BooleanModel:
     half the distance to the nearest open wall.
     """
     n = config.n_centers
-    _memo.pairs = None  # free the old entry before the build
+    keep(None, "rows")  # free the old entry before the build
     radii, near = _radii(config, domain, np.arange(n))
-    _memo.pairs = None if near is None else (_key(config.centers, radii, domain), near)
+    keep(near, "rows", domain, config.centers, radii)  # ball_components' candidates
     sides = np.asarray(domain.sides)
     if domain.periodic:
         caps = np.full(n, sides.min() / 4.0)

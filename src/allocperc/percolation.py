@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -21,8 +20,8 @@ from .allocation import (
     sample_replica,
 )
 from .appetite import AppetiteDistribution
-from .booleanmodel import BooleanModel, _near_pairs
-from .geometry import SLACK, Domain, distance, kd_tree, palm_origin
+from .booleanmodel import BooleanModel
+from .geometry import Domain, distance, kd_tree, kept, palm_origin, within
 
 
 class PercolationError(ValueError):
@@ -98,21 +97,18 @@ def _ball_edges(centers: np.ndarray, radii: np.ndarray, domain: Domain) -> np.nd
 
     Ball i proposes its partners within 2 r_i that precede it in (radius,
     index) order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed
-    distance decides. They come from the rows of the thread's last
-    build_boolean of these balls, else from a kd-tree.
+    distance decides. The (i, j, distance) blocks are the rows that the
+    thread's last build_boolean of these balls kept, else geometry.within's.
     """
-    near = _near_pairs(centers, radii, domain)
-    if near is None:
-        tree = kd_tree(centers, domain)
-        lists = tree.query_ball_point(tree.data, 2.0 * radii * (1 + SLACK), return_sorted=False)
-        i = np.repeat(np.arange(len(radii)), [len(x) for x in lists])
-        near = i, np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(i)), None
-    i, j, d = near
-    keep = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
-    i, j = i[keep], j[keep]
-    d = distance(centers[i], centers[j], domain) if d is None else d[keep]
-    overlap = d < radii[i] + radii[j]
-    return np.stack([i[overlap], j[overlap]], axis=1)
+    rows = kept("rows", domain, centers, radii)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for i, j, d in [rows] if rows is not None else within(
+            kd_tree(centers, domain), centers, 2.0 * radii, centers, domain):
+        ok = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
+        i, j, d = i[ok], j[ok], d[ok]
+        ok = d < radii[i] + radii[j]
+        edges.append(np.stack([i[ok], j[ok]], axis=1))
+    return np.concatenate(edges)
 
 
 def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:

@@ -20,6 +20,7 @@ from allocperc.allocation import (
     verify_stability,
 )
 from allocperc.appetite import AppetiteDistribution
+from allocperc.booleanmodel import build_boolean
 from allocperc.geometry import (
     Domain,
     distance,
@@ -550,13 +551,13 @@ def test_memo_ladders_equal_cold_solves(monkeypatch):
         configs = [PointConfiguration(centers, s * draws) for s in scales]
         cold = []
         for config in configs:
-            allocation._memo.lists = None
+            geometry.keep(None, "lists")
             cold.append(gale_shapley(config, grid))
         ties += any(np.any(r.assignment == TIE) for r in cold)
         jumps += any(r.counters["beyond_list"] for r in cold)
         shuffled = replica_rng(31, i).permutation(len(scales))
         for order in (range(len(scales)), range(len(scales))[::-1], shuffled):
-            allocation._memo.lists = None
+            geometry.keep(None, "lists")
             for j in order:
                 assert _same_result(gale_shapley(configs[j], grid), cold[j]), (i, list(order))
     assert ties > 50 and jumps > 50
@@ -597,17 +598,28 @@ def test_a_sweep_builds_one_list_per_replica_and_checks_each_tie_once(monkeypatc
     dom = Domain(sides=(8.0, 8.0), periodic=False)
     grid = SiteGrid(domain=dom, spacing=0.25)
     dist = AppetiteDistribution("exponential", {"mean": 1.0})
-    allocation._memo.lists = None
+    geometry.keep(None, "lists")
     critical_sweep(dom, grid, 1.0, dist, [0.4, 0.7, 1.0, 1.3], 3, seed=5, workers=workers)
     assert builds == [grid.n_cells] * 3
     assert len(repeats) > 1000 and not any(repeats)
+
+
+def test_a_build_boolean_between_solves_keeps_the_lists(monkeypatch):
+    # the build's rows and the ladder's lists are kept under their own tags
+    builds = _spy_list_builds(monkeypatch)
+    grid, centers, draws, _ = _ladder_instance(4)
+    for s in (0.3, 0.9, 2.0):
+        config = PointConfiguration(centers, s * draws)
+        gale_shapley(config, grid)
+        build_boolean(config, grid.domain)
+    assert builds == [grid.n_cells]
 
 
 def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
     builds = _spy_list_builds(monkeypatch)
     grid, centers, draws, _ = _ladder_instance(4)
     config = PointConfiguration(centers, draws)
-    allocation._memo.lists = None
+    geometry.keep(None, "lists")
     want = gale_shapley(config, grid)
     assert _same_result(gale_shapley(config, grid), want) and len(builds) == 1
     # beyond_list counts the jumps past lists of PREF_K, so only the
@@ -617,13 +629,13 @@ def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
     assert np.array_equal(short.assignment, want.assignment) and len(builds) == 2
     monkeypatch.setattr(geometry, "BLOCK", 5)
     assert _same_result(gale_shapley(config, grid), short) and len(builds) == 3
-    assert allocation._memo.lists.key[1:3] == (2, 5)
+    assert geometry.kept("lists", grid, 2, 5, config.centers) is not None
 
 
 def test_a_miss_frees_the_old_entry_before_the_build(monkeypatch):
     grid, centers, draws, _ = _ladder_instance(4)
     gale_shapley(PointConfiguration(centers, draws), grid)
-    old = weakref.ref(allocation._memo.lists)
+    old = weakref.ref(geometry._kept.lists[1])  # the kept (parts, value) entry's value
     alive_at_build = []
     real = allocation.nearest_until
 

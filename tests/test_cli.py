@@ -235,6 +235,8 @@ _FAULTS = {
 def test_validate_reports_an_injected_fault(fault, cfg_file, tmp_path, monkeypatch):
     inject, rows = _FAULTS[fault]
     inject(monkeypatch)
+    # only the rows that catch the fault are run
+    monkeypatch.setattr(validation, "_CHECKS", tuple(c for c in validation._CHECKS if c[0] in rows))
     out = tmp_path / "run"
     assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_INVARIANT
     failures = {r[0]: int(r[2]) for r in read_csv(out / "validation.csv")[1:]}

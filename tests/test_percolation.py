@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from allocperc import allocation, booleanmodel, geometry, percolation
+from allocperc import geometry, percolation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution, sample_appetites
 from allocperc.booleanmodel import BooleanModel, build_boolean, compute_radius
@@ -175,7 +175,7 @@ def test_ball_components_same_from_the_build_rows_as_from_a_kd_tree(d, periodic,
         model = build_boolean(config, dom)
         warm = ball_components(model, dom)
         assert calls == []  # the rows came from the build
-        booleanmodel._memo.pairs = None
+        geometry.keep(None, "rows")
         cold = ball_components(model, dom)
         assert calls.pop() == config.n_centers
         for a, b in zip(report_fields(warm), report_fields(cold)):
@@ -196,10 +196,9 @@ def test_changed_radii_miss_the_build_rows(factor, monkeypatch):
                           bfs_ball_components_oracle(model.centers, model.radii, dom))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_rows_past_one_block_are_not_kept(seed, monkeypatch):
-    # a Pareto index below 1 gives rows holding every center
-    monkeypatch.setattr(geometry, "BLOCK", 64)
+def heavy_tail_model(seed):
+    """A build_boolean model whose rows hold more than 64 triples: a Pareto
+    index below 1 gives rows holding every center."""
     rng = replica_rng(seed + 600)
     d = 1 + seed % 3
     dom = Domain(sides=tuple(rng.uniform(3.0, 7.0, size=d)), periodic=bool(seed // 3 % 2))
@@ -207,9 +206,37 @@ def test_rows_past_one_block_are_not_kept(seed, monkeypatch):
     config = PointConfiguration(centers, 0.05 * (1.0 + rng.pareto(0.8, size=len(centers))))
     model = build_boolean(config, dom)
     assert (distance(centers[:, None], centers[None], dom) < 2.0 * model.radii[:, None]).sum() > 64
-    assert booleanmodel._memo.pairs is None
+    return model, dom
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_past_one_block_are_not_kept(seed, monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK", 64)
+    model, dom = heavy_tail_model(seed)
+    assert geometry._kept.rows is None
     assert same_partition(ball_components(model, dom).labels,
                           bfs_ball_components_oracle(model.centers, model.radii, dom))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_miss_computes_its_distances_in_blocks(seed, monkeypatch):
+    # the overlap pairs of a model whose rows were not kept come from
+    # geometry.within, whose blocks hold at most BLOCK pairs or one ball's
+    monkeypatch.setattr(geometry, "BLOCK", 64)
+    model, dom = heavy_tail_model(seed)
+    assert geometry._kept.rows is None
+    sizes, real = [], geometry.distance
+
+    def distance_spy(a, b, domain):
+        out = real(a, b, domain)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(geometry, "distance", distance_spy)
+    monkeypatch.setattr(percolation, "distance", distance_spy)
+    labels = ball_components(model, dom).labels
+    assert sizes and max(sizes) <= max(64, model.n_balls)
+    assert np.array_equal(labels, bfs_ball_components_oracle(model.centers, model.radii, dom))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -229,6 +256,16 @@ def test_compute_radius_keeps_the_build_rows(monkeypatch):
     model = build_boolean(config, dom)
     compute_radius(0, other, dom)
     compute_radius(1, config, dom)
+    ball_components(model, dom)
+    assert calls == []
+
+
+def test_a_solve_keeps_the_build_rows(monkeypatch):
+    # the solve's lists and the build's rows are kept under their own tags
+    calls = spy_kd_trees(monkeypatch)
+    config, dom = next(built_models(2, False))
+    model = build_boolean(config, dom)
+    gale_shapley(config, SiteGrid(domain=dom, spacing=0.5))
     ball_components(model, dom)
     assert calls == []
 
@@ -553,7 +590,7 @@ def test_sweep_counters_are_those_of_cold_solves_at_any_worker_count():
     want = np.empty((len(scales), 3, 2), dtype=np.int64)
     for rep in range(3):
         for i, a in enumerate(scales):
-            allocation._memo.lists = None
+            geometry.keep(None, "lists")
             alloc, _ = run_replica(dom, grid, 1.0, replace(dist, scale=a), 9, rep)
             want[i, rep] = alloc.counters["rounds"], alloc.counters["beyond_list"]
     interval = sys.getswitchinterval()
