@@ -118,7 +118,10 @@ def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         config = sample_replica(cfg.domain, cfg.intensity, cfg.appetite, cfg.seed, rep)
         return rep, build_boolean(config, cfg.domain)
 
-    results = map_ordered(one, range(cfg.replicas), cfg.workers)
+    try:
+        results = map_ordered(one, range(cfg.replicas), cfg.workers)
+    except BooleanModelError as exc:  # appetites that underflow to 0
+        raise ConfigError(f"{exc}; raise the scale or the floor") from exc
     rows = []
     for rep, model in results:
         for i in range(model.n_balls):

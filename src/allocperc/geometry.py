@@ -114,17 +114,23 @@ def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: 
     every point of others; distances at or past the bound read inf.
 
     The tree only selects neighbours; distances are recomputed by distance,
-    as in the dense matrix, and sorted stably over index-sorted neighbours, so
-    a row matches the start of the dense (distance, index) row up to the bound.
-    The bound is inf when the row holds all of others.
+    as in the dense matrix. The tree lists each row nearest first, so only
+    the rows its rounding or tie order leaves out of (distance, index) order
+    are re-sorted, and a row matches the start of the dense (distance,
+    index) row up to the bound. The bound is inf when the row holds all of
+    others.
     """
     k = min(k, len(others))
     _, nbr = tree.query(pts, k=k)
-    nbr = np.sort(nbr.reshape(len(pts), k), axis=1)
-    dist = distance(pts[:, None, :], others[nbr], domain)
-    order = np.argsort(dist, axis=1, kind="stable")
-    nbr = np.take_along_axis(nbr, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
+    nbr = nbr.reshape(len(pts), k)
+    # np.take gathers rows ~10x faster than others[nbr] (numpy 2.4)
+    dist = distance(pts[:, None, :], np.take(others, nbr, axis=0), domain)
+    step, tie = np.diff(dist, axis=1), np.diff(nbr, axis=1)
+    bad = np.flatnonzero(((step < 0) | ((step == 0) & (tie < 0))).any(axis=1))
+    if bad.size:
+        order = np.lexsort((nbr[bad], dist[bad]))
+        nbr[bad] = np.take_along_axis(nbr[bad], order, axis=1)
+        dist[bad] = np.take_along_axis(dist[bad], order, axis=1)
     if k == len(others):
         return nbr, dist, np.full(len(pts), np.inf)
     # Tree and recomputed distances differ by rounding only, so a point

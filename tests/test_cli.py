@@ -112,6 +112,9 @@ def test_boolean_outputs(tmp_path):
     ("allocate", "scale = -1\n"),
     ("boolean", "sides = 2,2\nboundary = open\nfloor = 1\nscale = 5\n"),  # all censored
     ("boolean", "scale = 0\nfloor = 0.5\n"),  # zero appetites have no dominating radius
+    # appetites that underflow to 0: 1e-200 x 1e-200
+    ("boolean", "value = 0\nscale = 1e-200\nfloor = 1e-200\n"),
+    ("boolean", "family = exponential\nmean = 1e-300\nscale = 1e-200\nfloor = 1e-200\n"),
     ("sweep", "boundary = open\nscale_grid = 0:1e6:1e-6\n"),  # 10^12 scales
     ("sweep", "boundary = open\nscale_grid = -0.5:0.5:0.5\n"),  # a negative scale
     # sizes numpy can neither index nor allocate
@@ -395,8 +398,9 @@ _CONFIG_VALUES = {
     "pareto_index": ["0.5", "3.5", "-1"],
     "mean": ["1.0", "1e-5", "1e200"],
     "tail_exponent": ["1", "100"],
-    "scale": ["0.05", "0.5", "2", "0", "-1", "nan", "inf"],
-    "floor": ["0", "0.5", "1", "-1", "nan"],
+    "value": ["1.0", "0"],
+    "scale": ["0.05", "0.5", "2", "0", "-1", "nan", "inf", "1e-200"],
+    "floor": ["0", "0.5", "1", "-1", "nan", "1e-200"],
     "spacing": ["0.5", "1", "0.3", "0", "x"],
     "replicas": ["1", "2", "0"],
     "scale_grid": ["0.1:0.5:0.2", "0.5:0.1:0.1", "0:inf:1", "nan:1:0.1", "x"],

@@ -129,10 +129,8 @@ def test_streams_are_order_insensitive():
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("periodic", [False, True])
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["random", "lattice", "duplicated"])
-def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
+def nearest_case(kind, d, periodic):
+    """Query points, tree points and domain for nearest."""
     rng = replica_rng(d, 2 * ("random", "lattice", "duplicated").index(kind) + periodic)
     sides = np.full(d, 5.0)
     centers = rng.random((40, d)) * sides
@@ -144,11 +142,17 @@ def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
     dom = Domain(sides=tuple(sides), periodic=periodic)
     pts = np.vstack([centers, rng.random((30, d)) * sides,
                      np.floor(rng.random((30, d)) * sides) + 0.5])
+    return pts, centers, dom
+
+
+def assert_dense_rows(tree, pts, centers, dom):
+    """nearest(tree, ...) matches the dense (distance, index) rows below its
+    bound at every k; returns the answers."""
     dense = distance(pts[:, None], centers[None], dom)
     order = np.argsort(dense, axis=1, kind="stable")  # (distance, index) order
     sd = np.take_along_axis(dense, order, axis=1)
-    tree = kd_tree(centers, dom)
     n = len(centers)
+    answers = []
     for k in (1, 2, 5, n, n + 3):
         nbr, dist, bound = nearest(tree, pts, k, centers, dom)
         assert nbr.shape == dist.shape == (len(pts), min(k, n))
@@ -160,6 +164,41 @@ def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
             assert np.all(np.isinf(dist[i, m:]))
             # every center nearer than the bound is in the row
             assert np.count_nonzero(dense[i] < bound[i]) == m
+        answers.append((nbr, dist, bound))
+    return answers
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicated"])
+def test_nearest_rows_are_exact_below_their_bound(kind, d, periodic):
+    pts, centers, dom = nearest_case(kind, d, periodic)
+    assert_dense_rows(kd_tree(centers, dom), pts, centers, dom)
+
+
+class ShuffledTree:
+    """A kd-tree whose query lists each row's neighbours in a random order."""
+
+    def __init__(self, tree, rng):
+        self.tree, self.rng = tree, rng
+
+    def query(self, pts, k):
+        _, nbr = self.tree.query(pts, k=k)
+        order = self.rng.permuted(np.tile(np.arange(k), (len(pts), 1)), axis=1)
+        return None, np.take_along_axis(nbr.reshape(len(pts), k), order, axis=1)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicated"])
+def test_nearest_re_sorts_rows_the_tree_lists_out_of_order(kind, d, periodic):
+    pts, centers, dom = nearest_case(kind, d, periodic)
+    tree = kd_tree(centers, dom)
+    want = assert_dense_rows(tree, pts, centers, dom)
+    got = assert_dense_rows(ShuffledTree(tree, replica_rng(7, d)), pts, centers, dom)
+    for answer, expected in zip(got, want):
+        for a, b in zip(answer, expected):
+            assert np.array_equal(a, b)
 
 
 def within_case(case, d, periodic):
