@@ -30,16 +30,10 @@ class BooleanModel:
     A center is censored when its 2R-ball is not fully resolved by the window
     (exits an open box, or wraps more than half a periodic side), so its R is
     only a lower bound.
-
-    min_radius is the own-root (a_min / |B_1|)^(1/d) of the smallest sampled
-    appetite a_min. Every appetite is at least scale * floor and every radius
-    at least its center's own-root, so min_radius(scale, floor, d) <=
-    min_radius <= radii.min().
     """
 
     centers: np.ndarray
     radii: np.ndarray
-    min_radius: float
     truncated: np.ndarray
 
     @property
@@ -48,7 +42,9 @@ class BooleanModel:
 
 
 def min_radius(scale: float, floor: float, d: int) -> float:
-    """Hard lower bound on every radius, forced by the appetite floor."""
+    """Hard lower bound on every radius, forced by the appetite floor: every
+    appetite is at least scale * floor, and every radius at least its
+    center's own root (appetite / |B_1|)^(1/d)."""
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
 
 
@@ -127,13 +123,7 @@ def build_boolean(config: PointConfiguration, domain: Domain) -> BooleanModel:
         caps = np.full(n, sides.min() / 4.0)
     else:
         caps = np.minimum(config.centers, sides - config.centers).min(axis=1) / 2.0
-    pi_d = unit_ball_volume(domain.dim)
-    return BooleanModel(
-        centers=config.centers,
-        radii=radii,
-        min_radius=float(config.appetites.min() / pi_d) ** (1.0 / domain.dim) if n else 0.0,
-        truncated=radii > caps,
-    )
+    return BooleanModel(centers=config.centers, radii=radii, truncated=radii > caps)
 
 
 def check_domination(
@@ -165,29 +155,23 @@ class TailStatistics:
 def tail_statistics(models: list[BooleanModel], n_grid: int = 200) -> TailStatistics:
     """Pooled survival of the radii on a log grid plus sup_r r^d * P[R > r].
 
-    Censored (window-truncated) radii are excluded.
+    Censored (window-truncated) radii are excluded. On [x_(k-1), x_k) between
+    sorted radii, r^d * P[R > r] <= x_k^d * #{R >= x_k} / n, so the supremum
+    is the maximum over the jump points x_k.
     """
     if not models:
         raise BooleanModelError("need at least one model")
     d = models[0].centers.shape[1]
-    pooled = np.concatenate([m.radii[~m.truncated] for m in models])
-    if pooled.size == 0:
+    pooled = np.sort(np.concatenate([m.radii[~m.truncated] for m in models]))
+    n = pooled.size
+    if n == 0:
         raise BooleanModelError("all radii are censored; nothing to pool")
-    r_lo = pooled.min() * 0.5
-    r_hi = pooled.max() * 1.001
-    grid = np.geomspace(max(r_lo, 1e-12), r_hi, n_grid)
-    pooled_sorted = np.sort(pooled)
-    # P[R > r] via right-side rank
-    counts = pooled.size - np.searchsorted(pooled_sorted, grid, side="right")
-    survival = counts / pooled.size
-    sup_stat = float(np.max(grid ** d * survival))
-    # include the exact jump points, where r^d * P[R > r] peaks
-    jump_stat = float(np.max(pooled_sorted ** d
-                             * (pooled.size - np.searchsorted(pooled_sorted, pooled_sorted, side="left"))
-                             / pooled.size))
+    grid = np.geomspace(max(pooled[0] * 0.5, 1e-12), pooled[-1] * 1.001, n_grid)
+    survival = (n - np.searchsorted(pooled, grid, side="right")) / n
+    at_jumps = n - np.searchsorted(pooled, pooled, side="left")  # #{R >= x_k}
     return TailStatistics(
         r_grid=grid,
         survival=survival,
-        sup_statistic=max(sup_stat, jump_stat),
-        n_radii=int(pooled.size),
+        sup_statistic=float(np.max(pooled ** d * at_jumps / n)),
+        n_radii=int(n),
     )

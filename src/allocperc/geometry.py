@@ -179,7 +179,7 @@ def within(tree, pts, r, others, domain):
         a = i[s:e]
         j = np.concatenate(tree.query_ball_point(pts[a], reach[a])).astype(np.int64)
         a = np.repeat(a, n[a])
-        d = distance(pts[a], others[j], domain)
+        d = distance(np.take(pts, a, axis=0), np.take(others, j, axis=0), domain)
         ok = d <= r[a]
         yield a[ok], j[ok], d[ok]
         s = e

@@ -259,10 +259,8 @@ def run_replica(domain: Domain, grid: SiteGrid, intensity: float,
 
 
 def map_ordered(fn, items, workers: int = 1) -> list:
-    """[fn(x) for x in items], on `workers` threads when workers > 1; the
-    results keep the order of the items."""
-    if workers == 1:
-        return [fn(x) for x in items]
+    """[fn(x) for x in items] on a pool of `workers` threads, in the order of
+    the items. What a task keeps per thread (geometry.keep) ends with the pool."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -366,7 +366,7 @@ def _ball_partition_differs(rng, i) -> bool:
     if len(centers) == 0:
         return False
     radii = rng.uniform(0.2, 0.8, size=len(centers))
-    return _balls_differ(BooleanModel(centers=centers, radii=radii, min_radius=0.2,
+    return _balls_differ(BooleanModel(centers=centers, radii=radii,
                                       truncated=np.zeros(len(radii), dtype=bool)), domain)
 
 

@@ -153,8 +153,9 @@ def test_build_boolean_floor_bound():
     b = min_radius(0.05, 1.0, 2)
     assert b == pytest.approx((0.05 / math.pi) ** 0.5)
     assert np.all(model.radii >= b - 1e-12)
-    # the model's own-root of the smallest sampled appetite lies between
-    assert b <= model.min_radius <= model.radii.min()
+    # the own root of the smallest sampled appetite lies between
+    own_root = (appetites.min() / unit_ball_volume(2)) ** 0.5
+    assert b <= own_root <= model.radii.min()
     # equality witnessed by an isolated center
     iso_config, iso_dom = unit_square_config([[10.0, 10.0]], [0.05], sides=(20.0, 20.0))
     assert compute_radius(0, iso_config, iso_dom) == pytest.approx(b, abs=1e-12)
@@ -342,7 +343,6 @@ def test_domination_negative_control():
     shrunk = BooleanModel(
         centers=model.centers,
         radii=model.radii * 0.5,
-        min_radius=model.min_radius * 0.5,
         truncated=model.truncated,
     )
     assert check_domination(alloc, shrunk, config, grid) != []
@@ -354,7 +354,6 @@ def test_tail_statistics_step_at_constant_radius():
     model = BooleanModel(
         centers=centers,
         radii=np.full(3, b),
-        min_radius=b,
         truncated=np.zeros(3, dtype=bool),
     )
     stats = tail_statistics([model])
@@ -364,7 +363,7 @@ def test_tail_statistics_step_at_constant_radius():
 def test_tail_statistics_requires_data():
     centers = np.array([[1.0, 1.0]])
     model = BooleanModel(
-        centers=centers, radii=np.array([0.5]), min_radius=0.5,
+        centers=centers, radii=np.array([0.5]),
         truncated=np.array([True]),
     )
     with pytest.raises(BooleanModelError):
@@ -402,3 +401,30 @@ def test_tail_slope_sanity():
     m = (r >= r[np.argmax(s < 0.5)]) & (s > 0)
     slope = np.polyfit(np.log(r[m]), np.log(s[m]), 1)[0]
     assert slope <= -2.0
+
+
+def _radius_pools():
+    rng = replica_rng(17)
+    for d in (1, 2, 3):
+        for n in (1, 2, 7, 60, 400):
+            yield d, rng.exponential(1.0, n)
+            yield d, rng.pareto(rng.uniform(0.5, 3.0), n) + 0.1
+            yield d, np.round(rng.exponential(1.0, n), 1) + 0.1  # ties
+            yield d, np.full(n, rng.uniform(0.1, 2.0))  # all radii equal
+
+
+def test_sup_statistic_is_the_maximum_over_the_jump_points():
+    # brute force: r^d P[R > r] at every jump point x (where it reads
+    # x^d #{R >= x} / n) and on a fine grid, which can only approach it
+    for case, (d, radii) in enumerate(_radius_pools()):
+        # one censored radius of 1e3 on top, which the pool leaves out
+        model = BooleanModel(centers=np.zeros((radii.size + 1, d)),
+                             radii=np.append(radii, 1e3),
+                             truncated=np.arange(radii.size + 1) == radii.size)
+        sup = tail_statistics([model]).sup_statistic
+        n = radii.size
+        jumps = max(x ** d * np.count_nonzero(radii >= x) / n for x in radii)
+        fine = np.geomspace(radii.min() * 0.5, radii.max() * 1.001, 10 ** 5)
+        grid = np.max(fine ** d * (n - np.searchsorted(np.sort(radii), fine, "right")) / n)
+        assert sup == pytest.approx(jumps, rel=1e-12), (case, d)
+        assert (1 - 1e-3) * sup <= grid <= sup * (1 + 1e-12), (case, d)

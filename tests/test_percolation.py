@@ -1,11 +1,12 @@
 import math
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from allocperc import geometry, percolation
+from allocperc import geometry, percolation, validation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution, sample_appetites
 from allocperc.booleanmodel import BooleanModel, build_boolean, compute_radius
@@ -32,7 +33,6 @@ def make_model(centers, radii):
     return BooleanModel(
         centers=centers,
         radii=radii,
-        min_radius=float(radii.min()) if len(radii) else 0.0,
         truncated=np.zeros(len(radii), dtype=bool),
     )
 
@@ -602,3 +602,41 @@ def test_sweep_counters_are_those_of_cold_solves_at_any_worker_count():
     finally:
         sys.setswitchinterval(interval)
     assert want[..., 1].any()
+
+
+def test_every_worker_count_runs_on_the_pool_and_keeps_nothing_in_the_caller(monkeypatch):
+    # workers = 1 takes the pool path too: the solves' lists and the builds'
+    # rows die with the pool thread, and the results are those of 2 and 3
+    monkeypatch.setattr(validation, "_CHECKS", tuple(
+        row for row in validation._CHECKS
+        if row[0] in ("stability", "boolean_model_components_vs_bfs")))
+    dom = Domain(sides=(8.0, 8.0), periodic=False)
+    grid = SiteGrid(domain=dom, spacing=0.25)
+    dist = AppetiteDistribution("exponential", {"mean": 1.0})
+    sweeps, checks = [], []
+    for workers in (1, 2, 3):
+        sweeps.append(critical_sweep(dom, grid, 1.0, dist, [0.4, 0.8, 1.2], 3, seed=9,
+                                     workers=workers))
+        checks.append(validation.run_validation(3, workers))
+        assert vars(geometry._kept) == {}
+    for got in sweeps[1:]:
+        assert got.rows == sweeps[0].rows and got.bracket == sweeps[0].bracket
+        assert np.array_equal(got.indicators, sweeps[0].indicators)
+        assert np.array_equal(got.counters, sweeps[0].counters)
+    assert checks[1:] == checks[:1] * 2 and len(checks[0]) == 2
+
+
+def test_a_task_kept_build_dies_with_the_pool():
+    class Build:
+        pass
+
+    refs = []
+
+    def task(i):
+        build = geometry.keep(Build(), "lists", i)
+        refs.append(weakref.ref(build))
+        return i
+
+    for workers in (1, 2, 3):
+        assert percolation.map_ordered(task, range(5), workers) == list(range(5))
+    assert len(refs) == 15 and all(ref() is None for ref in refs)
