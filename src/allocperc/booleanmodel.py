@@ -103,7 +103,7 @@ def compute_radius(
 def _require_floor(config: PointConfiguration) -> None:
     if np.any(config.appetites <= 0):
         raise BooleanModelError(
-            "dominating radii need a positive appetite floor (every appetite > 0)"
+            "dominating radii need every appetite > 0; raise the scale or the floor"
         )
 
 
@@ -155,9 +155,10 @@ class TailStatistics:
 def tail_statistics(models: list[BooleanModel], n_grid: int = 200) -> TailStatistics:
     """Pooled survival of the radii on a log grid plus sup_r r^d * P[R > r].
 
-    Censored (window-truncated) radii are excluded. On [x_(k-1), x_k) between
-    sorted radii, r^d * P[R > r] <= x_k^d * #{R >= x_k} / n, so the supremum
-    is the maximum over the jump points x_k.
+    Censored (window-truncated) radii are excluded. The grid runs from half
+    the smallest positive radius to just past the largest. On [x_(k-1), x_k)
+    between sorted radii, r^d * P[R > r] <= x_k^d * #{R >= x_k} / n, so the
+    supremum is the maximum over the jump points x_k.
     """
     if not models:
         raise BooleanModelError("need at least one model")
@@ -165,8 +166,11 @@ def tail_statistics(models: list[BooleanModel], n_grid: int = 200) -> TailStatis
     pooled = np.sort(np.concatenate([m.radii[~m.truncated] for m in models]))
     n = pooled.size
     if n == 0:
-        raise BooleanModelError("all radii are censored; nothing to pool")
-    grid = np.geomspace(max(pooled[0] * 0.5, 1e-12), pooled[-1] * 1.001, n_grid)
+        raise BooleanModelError("all radii are censored; enlarge the box or lower the scale")
+    positive = pooled[pooled > 0]
+    if positive.size == 0 or positive[0] * 0.5 == 0:  # no float below the smallest radius
+        raise BooleanModelError("the radii underflow the float range; raise the scale or the floor")
+    grid = np.geomspace(positive[0] * 0.5, pooled[-1] * 1.001, n_grid)
     survival = (n - np.searchsorted(pooled, grid, side="right")) / n
     at_jumps = n - np.searchsorted(pooled, pooled, side="left")  # #{R >= x_k}
     return TailStatistics(

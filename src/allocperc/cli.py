@@ -1,7 +1,9 @@
 """Experiment harness: subcommands, run directories, manifests.
 
-Data goes to CSV/JSON/PGM files under the run directory; progress lines go to
-stderr. Exit codes: 0 success, 2 configuration error, 3 invariant breach.
+Each subcommand computes its artifacts (CSV/PGM bytes by file name) from the
+config alone; main writes them and a manifest of exactly those files into the
+run directory. Progress lines go to stderr. Exit codes: 0 success,
+2 configuration error, 3 invariant breach.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -35,14 +38,15 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows: list[list]) -> bytes:
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue().encode("utf-8")
 
 
-def _write_pgm(path: Path, values: np.ndarray) -> None:
+def _pgm(values: np.ndarray) -> bytes:
     """Binary P5 raster of a 2-d integer field scaled into 0..255."""
     if values.ndim != 2:
         raise ValueError("PGM raster needs a 2-d field")
@@ -51,41 +55,10 @@ def _write_pgm(path: Path, values: np.ndarray) -> None:
     scaled = np.zeros_like(v, dtype=np.uint8) if hi == lo else (
         ((v - lo) * 255) // (hi - lo)
     ).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii"))
-        fh.write(scaled.tobytes())
+    return f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii") + scaled.tobytes()
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(out: Path, cfg: ExperimentConfig, subcommand: str,
-                    started: float, extras: dict | None = None) -> None:
-    artifacts = sorted(
-        p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
-    )
-    manifest = {
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "seed": cfg.seed,
-        "config": cfg.raw,
-        "artifacts": [
-            {"name": name, "sha256": _sha256(out / name)} for name in artifacts
-        ],
-        "duration_seconds": round(time.time() - started, 3),
-        "extras": extras or {},
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def cmd_allocate(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
 
     def one(rep):
@@ -96,19 +69,18 @@ def cmd_allocate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
                 diag.fraction_sated, diag.unclaimed_volume), raster, alloc.counters
 
     results = map_ordered(one, range(cfg.replicas), cfg.workers)
-    rows = [list(r[0]) for r in results]
-    _write_csv(out / "allocation.csv",
-               ["replica", "n_centers", "claimed_fraction", "fraction_sated", "unclaimed_volume"],
-               rows)
+    artifacts = {"allocation.csv": _csv(
+        ["replica", "n_centers", "claimed_fraction", "fraction_sated", "unclaimed_volume"],
+        [list(r[0]) for r in results])}
     if results and results[0][1] is not None:
-        _write_pgm(out / "territory.pgm", results[0][1] + 2)
+        artifacts["territory.pgm"] = _pgm(results[0][1] + 2)
     params = PhaseParams(cfg.intensity, cfg.appetite.scale,
                          moment_report(replace(cfg.appetite, floor=0.0, scale=1.0)).mean)
     _log(f"allocate: {cfg.replicas} replicas, phase {classify_phase(params)}")
-    return EXIT_OK, {"counters": [{"replica": r[0][0], **r[2]} for r in results]}
+    return EXIT_OK, artifacts, {"counters": [{"replica": r[0][0], **r[2]} for r in results]}
 
 
-def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def cmd_boolean(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     if cfg.appetite.floor <= 0 or cfg.appetite.scale <= 0:
         raise ConfigError(
             "boolean model needs positive appetites; set floor > 0 and scale > 0"
@@ -120,33 +92,28 @@ def cmd_boolean(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
     try:
         results = map_ordered(one, range(cfg.replicas), cfg.workers)
-    except BooleanModelError as exc:  # appetites that underflow to 0
-        raise ConfigError(f"{exc}; raise the scale or the floor") from exc
+        models = [m for _, m in results if m.n_balls]
+        stats = tail_statistics(models) if models else None
+    except BooleanModelError as exc:  # appetites or radii that underflow to 0, or all censored
+        raise ConfigError(str(exc)) from exc
     rows = []
     for rep, model in results:
         for i in range(model.n_balls):
             rows.append([rep, i, f"{model.radii[i]:.12g}", int(model.truncated[i])])
-    _write_csv(out / "radii.csv", ["replica", "center", "radius", "truncated"], rows)
-
-    models = [m for _, m in results if m.n_balls]
+    artifacts = {"radii.csv": _csv(["replica", "center", "radius", "truncated"], rows)}
     extras = {}
-    if models:
-        try:
-            stats = tail_statistics(models)
-        except BooleanModelError as exc:
-            raise ConfigError(f"{exc}; enlarge the box or lower the scale") from exc
-        _write_csv(
-            out / "tail.csv",
+    if stats is not None:
+        artifacts["tail.csv"] = _csv(
             ["radius", "survival", "scaled_survival"],
             [[f"{r:.12g}", f"{s:.12g}", f"{r ** cfg.domain.dim * s:.12g}"]
              for r, s in zip(stats.r_grid, stats.survival)],
         )
         extras = {"sup_statistic": stats.sup_statistic, "pooled_radii": stats.n_radii}
     _log(f"boolean: {len(models)} nonempty replicas")
-    return EXIT_OK, extras
+    return EXIT_OK, artifacts, extras
 
 
-def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def cmd_percolate(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
 
     def one(rep):
@@ -158,45 +125,42 @@ def cmd_percolate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
                 f"{report.max_origin_distance:.12g}", f"{report.diameter:.12g}"]
 
     rows = map_ordered(one, range(cfg.replicas), cfg.workers)
-    _write_csv(out / "components.csv",
-               ["replica", "n_components", "largest_size", "crossing",
-                "origin_component", "origin_reach", "origin_diameter"],
-               rows)
     _log(f"percolate: {cfg.replicas} replicas")
-    return EXIT_OK, {}
+    return EXIT_OK, {"components.csv": _csv(
+        ["replica", "n_components", "largest_size", "crossing",
+         "origin_component", "origin_reach", "origin_diameter"], rows)}, {}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def cmd_sweep(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     if cfg.domain.periodic:
         raise ConfigError("sweep detects box crossings; set boundary = open")
     grid = SiteGrid(domain=cfg.domain, spacing=cfg.spacing)
     result = critical_sweep(cfg.domain, grid, cfg.intensity, cfg.appetite,
                             cfg.scale_grid, cfg.replicas, cfg.seed, cfg.workers)
-    _write_csv(
-        out / "sweep.csv",
+    artifacts = {"sweep.csv": _csv(
         ["scale", "crossing_probability", "ci_low", "ci_high", "mean_claimed_fraction"],
         [[r.scale, f"{r.crossing_probability:.6g}", f"{r.ci_low:.6g}",
           f"{r.ci_high:.6g}", f"{r.mean_claimed_fraction:.6g}"] for r in result.rows],
-    )
+    )}
     extras = {"bracket": list(result.bracket) if result.bracket else None, "counters": [
         {"scale": r.scale, "rounds_max": int(c[:, 0].max()), "beyond_list_total": int(c[:, 1].sum())}
         for r, c in zip(result.rows, result.counters)]}
     ind = result.indicators  # (n_scales, replicas)
     if np.any(ind[:-1] & ~ind[1:]):
         _log("sweep: a replica's coupled crossing indicator switched off along the grid")
-        return EXIT_INVARIANT, extras
+        return EXIT_INVARIANT, artifacts, extras
     _log(f"sweep: {len(result.rows)} scales, bracket {result.bracket}")
-    return EXIT_OK, extras
+    return EXIT_OK, artifacts, extras
 
 
-def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def cmd_bounds(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     report = moment_report(cfg.appetite)
     rows = []
     for mean in (1.0, 5.0, 10.0, 50.0):
         for ratio in (1.1, 1.5, 2.0, 5.0):
             a = mean * ratio
             rows.append([mean, a, f"{poisson_chernoff(mean, a):.12g}"])
-    _write_csv(out / "poisson_bounds.csv", ["mean", "threshold", "bound"], rows)
+    artifacts = {"poisson_bounds.csv": _csv(["mean", "threshold", "bound"], rows)}
 
     rows = []
     if report.finite and report.variance > 0 and report.upper_moment > 0:
@@ -206,7 +170,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
                     n, x,
                     f"{nagaev_bound(n, x, report.variance, report.upper_moment, cfg.appetite.tail_exponent):.12g}",
                 ])
-    _write_csv(out / "sum_bounds.csv", ["n", "threshold", "bound"], rows)
+    artifacts["sum_bounds.csv"] = _csv(["n", "threshold", "bound"], rows)
 
     thr = None
     if cfg.appetite.floor > 0:
@@ -220,21 +184,18 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         "finiteness_threshold": thr,
     }
     _log("bounds: tables written")
-    return EXIT_OK, extras
+    return EXIT_OK, artifacts, extras
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     results = run_validation(cfg.seed, cfg.workers)
-    _write_csv(
-        out / "validation.csv",
-        ["check", "instances", "failures", "passed"],
-        [[r.name, r.instances, r.failures, int(r.passed)] for r in results],
-    )
     n_fail = sum(1 for r in results if not r.passed)
     for r in results:
         _log(f"validate: {r.name}: {'PASS' if r.passed else 'FAIL'} "
              f"({r.failures}/{r.instances} failing)")
-    return (EXIT_OK if n_fail == 0 else EXIT_INVARIANT), {}
+    return (EXIT_OK if n_fail == 0 else EXIT_INVARIANT), {"validation.csv": _csv(
+        ["check", "instances", "failures", "passed"],
+        [[r.name, r.instances, r.failures, int(r.passed)] for r in results])}, {}
 
 
 _COMMANDS = {
@@ -247,24 +208,29 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one config error line instead of the usage
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="allocperc",
         description="Stable-allocation and percolation experiments",
     )
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="root seed override")
+    parser.add_argument("--seed", help="root seed override")
     parser.add_argument("--out", help="run directory override")
-    parser.add_argument("--replicas", type=int, help="replica count override")
+    parser.add_argument("--replicas", help="replica count override")
     parser.add_argument("--scale-grid", help="lo:hi:step override")
-    parser.add_argument("--workers", type=int, help="worker thread count")
+    parser.add_argument("--workers", help="worker thread count")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {
             "seed": args.seed,
@@ -276,20 +242,28 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(file_values, overrides)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        started = time.time()
+        code, artifacts, extras = _COMMANDS[args.subcommand](cfg)
+        for name, data in artifacts.items():
+            (out / name).write_bytes(data)
+        manifest = {
+            "tool_version": __version__,
+            "subcommand": args.subcommand,
+            "seed": cfg.seed,
+            "config": cfg.raw,
+            "artifacts": [{"name": name, "sha256": hashlib.sha256(artifacts[name]).hexdigest()}
+                          for name in sorted(artifacts)],
+            "duration_seconds": round(time.time() - started, 3),
+            "extras": extras,
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                           encoding="utf-8")
     except (ConfigError, OSError) as exc:
-        _log(f"config error: {exc}")
-        return EXIT_CONFIG
-
-    started = time.time()
-    try:
-        code, extras = _COMMANDS[args.subcommand](cfg, out)
-    except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
     except MemoryError as exc:  # an array numpy refuses to allocate
         _log(f"config error: out of memory: {exc}")
         return EXIT_CONFIG
-    _write_manifest(out, cfg, args.subcommand, started, extras)
     return code
 
 

@@ -428,3 +428,37 @@ def test_sup_statistic_is_the_maximum_over_the_jump_points():
         grid = np.max(fine ** d * (n - np.searchsorted(np.sort(radii), fine, "right")) / n)
         assert sup == pytest.approx(jumps, rel=1e-12), (case, d)
         assert (1 - 1e-3) * sup <= grid <= sup * (1 + 1e-12), (case, d)
+
+
+def _pool(radii):
+    radii = np.asarray(radii, dtype=float)
+    return BooleanModel(centers=np.zeros((radii.size, 2)), radii=radii,
+                        truncated=np.zeros(radii.size, dtype=bool))
+
+
+@pytest.mark.parametrize("radii", [
+    [8e-161, 6e-161, 9e-161],  # far below 1e-12
+    [0.0, 3e-20, 4e-20],  # an underflowed radius beside positive ones
+    [0.3, 0.7, 1.9],
+])
+def test_tail_grid_starts_at_half_the_smallest_positive_radius(radii):
+    stats = tail_statistics([_pool(radii)])
+    smallest = min(r for r in radii if r > 0)
+    assert stats.r_grid[0] == smallest * 0.5
+    assert np.all(np.diff(stats.r_grid) > 0)
+    assert stats.survival[0] == np.count_nonzero(np.array(radii) > 0) / len(radii)
+    assert stats.survival[-1] == 0
+
+
+def test_tail_grid_unchanged_above_2e_12():
+    # the former start max(smallest / 2, 1e-12) is the same float there
+    for smallest in (2.000001e-12, 1e-6, 0.5, 40.0):
+        stats = tail_statistics([_pool([smallest, smallest * 3])])
+        assert stats.r_grid[0] == max(smallest * 0.5, 1e-12)
+
+
+@pytest.mark.parametrize("radii", [[0.0, 0.0], [5e-324, 1e-300]],
+                         ids=["all-zero", "smallest-subnormal"])
+def test_tail_statistics_refuses_underflowed_radii(radii):
+    with pytest.raises(BooleanModelError, match="underflow"):
+        tail_statistics([_pool(radii)])

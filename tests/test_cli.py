@@ -115,6 +115,8 @@ def test_boolean_outputs(tmp_path):
     # appetites that underflow to 0: 1e-200 x 1e-200
     ("boolean", "value = 0\nscale = 1e-200\nfloor = 1e-200\n"),
     ("boolean", "family = exponential\nmean = 1e-300\nscale = 1e-200\nfloor = 1e-200\n"),
+    # appetites of 5e-324 pass the floor check, but their radii underflow to 0
+    ("boolean", "sides = 3\nvalue = 1e-30\nfloor = 5e-24\nscale = 1e-300\n"),
     ("sweep", "boundary = open\nscale_grid = 0:1e6:1e-6\n"),  # 10^12 scales
     ("sweep", "boundary = open\nscale_grid = -0.5:0.5:0.5\n"),  # a negative scale
     # sizes numpy can neither index nor allocate
@@ -131,6 +133,68 @@ def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_boolean_tail_grid_starts_below_tiny_radii(tmp_path):
+    # radii of about 8e-161: the grid starts at half the smallest, not at 1e-12
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(BASE_CFG + "sides = 3\nfamily = exponential\nmean = 1e-300\n"
+                   "floor = 1e-300\nscale = 1e-20\n")
+    out = tmp_path / "run"
+    assert main(["boolean", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    radii = [float(r[2]) for r in read_csv(out / "radii.csv")[1:] if r[3] == "0"]
+    tail = [[float(x) for x in r] for r in read_csv(out / "tail.csv")[1:]]
+    assert 0 < tail[0][0] < min(radii) and tail[0][1] == 1.0
+    assert [r[0] for r in tail] == sorted(r[0] for r in tail) and tail[-1][1] == 0.0
+
+
+@pytest.mark.parametrize("args", [
+    ["allocate", "--seed", "x"], ["allocate", "--replicas", "2.5"],
+    ["allocate", "--workers", "two"], ["allocate", "--bogus", "1"], [],
+], ids=["seed", "replicas", "workers", "unknown-flag", "no-subcommand"])
+def test_bad_flags_exit_2_with_one_line(args, cfg_file, tmp_path, capsys):
+    assert main([*args, "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_help_exits_0_with_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: allocperc")
+
+
+def test_manifest_lists_only_this_runs_artifacts(cfg_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(["allocate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+    assert main(["bounds", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == "bounds"
+    assert {a["name"]: a["sha256"] for a in manifest["artifacts"]} == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("poisson_bounds.csv", "sum_bounds.csv")}
+    assert (out / "allocation.csv").is_file()  # the older run's files are left alone
+
+
+@pytest.mark.parametrize("blocked", ["allocation.csv", "manifest.json"])
+def test_unwritable_artifact_exits_2_with_one_line(blocked, cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main(["allocate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()  # the progress line, then the error
+    assert [line for line in err if line.startswith("config error: ")] == err[-1:]
+    assert len(err) == 2 and "Is a directory" in err[-1]
+    assert not (out / "manifest.json").is_file()
+
+
+def test_exit_2_run_writes_no_artifact(tmp_path):
+    cfg = tmp_path / "c.cfg"  # every radius censored by the window
+    cfg.write_text(BASE_CFG + "sides = 2,2\nboundary = open\nfloor = 1\nscale = 5\n")
+    out = tmp_path / "run"
+    assert main(["boolean", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert list(out.iterdir()) == []
 
 
 def test_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
@@ -395,7 +459,10 @@ _CONFIG_VALUES = {
     "boundary": ["periodic", "open", "torus"],
     "intensity": ["0.5", "1.0", "0", "nan"],
     "family": ["constant", "exponential", "pareto", "lognormal", "bogus"],
+    "pareto_scale": ["1", "0", "-1", "1e308"],
     "pareto_index": ["0.5", "3.5", "-1"],
+    "lognormal_mu": ["0", "1e308", "-1e308"],
+    "lognormal_sigma": ["1", "0", "-1"],
     "mean": ["1.0", "1e-5", "1e200"],
     "tail_exponent": ["1", "100"],
     "value": ["1.0", "0"],
