@@ -93,8 +93,8 @@ class PointConfiguration:
             raise ValueError(
                 f"{len(centers)} centers but {len(appetites)} appetites"
             )
-        if np.any(appetites < 0):
-            raise ValueError("appetites must be nonnegative")
+        if not np.all(appetites >= 0):  # NaN fails too
+            raise ValueError("appetites must be nonnegative numbers")
         centers.setflags(write=False)
         appetites.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -398,28 +398,24 @@ def verify_stability(
     a center covets any cell when unsated, or any cell strictly closer than
     its farthest territory cell. TIE cells are excluded. Satedness is derived
     from the assignment, as gale_shapley derives it; result.sated is not read.
+    It scans rows of about geometry.BLOCK cell-center pairs at a time.
     """
-    if config.n_centers == 0:
-        return []
     cells = grid.cell_centers()
-    dist = distance(cells[:, None], config.centers[None], grid.domain)
-    assign = result.assignment
-
-    assigned_dist = np.full(len(cells), np.inf)
+    centers, domain, assign = config.centers, grid.domain, result.assignment
     claimed = assign >= 0
-    assigned_dist[claimed] = dist[claimed, assign[claimed]]
-
+    own = np.where(assign == TIE, -np.inf, np.inf)  # a TIE cell desires no center
+    own[claimed] = distance(cells[claimed], centers[assign[claimed]], domain)
     farthest = np.full(config.n_centers, -np.inf)
-    np.maximum.at(farthest, assign[claimed], assigned_dist[claimed])
-
+    np.maximum.at(farthest, assign[claimed], own[claimed])
     hd = grid.cell_volume
     sated = np.bincount(assign[claimed], minlength=config.n_centers) * hd >= config.appetites - hd
-    desire = dist < assigned_dist[:, None]
-    covet = (~sated)[None, :] | (dist < farthest[None, :])
-    unstable = desire & covet
-    unstable[claimed, assign[claimed]] = False
-    unstable[assign == TIE, :] = False
-    return [tuple(p) for p in np.argwhere(unstable)]
+
+    pairs, step = [], max(1, geometry.BLOCK // max(config.n_centers, 1))
+    for s in range(0, len(cells), step):
+        dist = distance(cells[s:s + step, None], centers[None], domain)
+        unstable = (dist < own[s:s + step, None]) & (~sated | (dist < farthest))
+        pairs.extend(tuple(p) for p in np.argwhere(unstable) + (s, 0))
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,10 @@ class AppetiteDistribution:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF of the appetite scale * max(V, floor); inf past the
-        float range."""
+        float range, but 0 at scale 0, since V past that range is still finite."""
+        v = np.maximum(self.base_quantile(u), self.floor)
         with np.errstate(over="ignore"):
-            return self.scale * np.maximum(self.base_quantile(u), self.floor)
+            return self.scale * v if self.scale else np.zeros_like(v)
 
 
 def sample_appetites(dist: AppetiteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,8 +126,6 @@ def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
 
 def _base_cdf(dist: AppetiteDistribution, v: float) -> float:
     p = dist.params
-    if dist.family == "constant":
-        return 0.0 if v < p["value"] else 1.0
     if dist.family == "exponential":
         return -math.expm1(-v / p["mean"]) if v > 0 else 0.0
     if dist.family == "pareto":

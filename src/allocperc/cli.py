@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -244,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         started = time.time()
         code, artifacts, extras = _COMMANDS[args.subcommand](cfg)
+        for name in [*artifacts, "manifest.json"]:  # refused before any write
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out / name))
         for name, data in artifacts.items():
             (out / name).write_bytes(data)
         manifest = {

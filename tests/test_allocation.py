@@ -486,6 +486,97 @@ def test_stability_derives_satedness_from_the_assignment():
     assert unstable and {c for _, c in unstable} == set(range(1, config.n_centers))
 
 
+def dense_scan(result, config, grid):
+    """The unstable-pair scan over the whole (cells x centers) matrix."""
+    if config.n_centers == 0:
+        return []
+    cells = grid.cell_centers()
+    dist = distance(cells[:, None], config.centers[None], grid.domain)
+    assign = result.assignment
+    claimed = assign >= 0
+    own = np.full(len(cells), np.inf)
+    own[claimed] = dist[claimed, assign[claimed]]
+    farthest = np.full(config.n_centers, -np.inf)
+    np.maximum.at(farthest, assign[claimed], own[claimed])
+    hd = grid.cell_volume
+    sated = np.bincount(assign[claimed], minlength=config.n_centers) * hd >= config.appetites - hd
+    unstable = (dist < own[:, None]) & (~sated[None, :] | (dist < farthest[None, :]))
+    unstable[claimed, assign[claimed]] = False
+    unstable[assign == TIE, :] = False
+    return [tuple(p) for p in np.argwhere(unstable)]
+
+
+def stability_cases(dim, periodic):
+    """(name, result, config, grid): stable solves on uniform centers and on
+    centers at cell corners (which leave TIE cells), then tampered assignments."""
+    dom = Domain(sides=(4.0,) * dim, periodic=periodic)
+    grid = SiteGrid(domain=dom, spacing=0.5)
+    rng = replica_rng(dim, int(periodic))
+    uniform = rng.random((3 * 2 ** dim, dim)) * 4.0
+    corners = rng.permutation(lattice(dim, 4.0, 0.5))[:3 * 2 ** dim]
+    for centers, name in ((uniform, "uniform"), (corners, "corners")):
+        config = PointConfiguration(centers, rng.integers(1, 5, len(centers)) * grid.cell_volume)
+        alloc = gale_shapley(config, grid)
+        yield f"stable {name}", alloc, config, grid
+        assign = alloc.assignment
+        owned = np.flatnonzero(assign >= 0)
+        a, b = owned[0], owned[np.flatnonzero(assign[owned] != assign[owned[0]])[0]]
+        swapped = assign.copy()
+        swapped[[a, b]] = assign[[b, a]]
+        random = rng.integers(TIE, config.n_centers, grid.n_cells)
+        for case, tampered in (("swapped owners", swapped),
+                               ("collapsed", np.zeros_like(assign)),
+                               ("unclaimed", np.full_like(assign, UNCLAIMED)),
+                               ("random", random)):
+            yield (f"{case} {name}", AllocationResult(tampered, alloc.territory_volumes,
+                                                      alloc.sated, grid.shape), config, grid)
+    empty = PointConfiguration(np.zeros((0, dim)), np.zeros(0))
+    yield "zero centers", gale_shapley(empty, grid), empty, grid
+
+
+@pytest.mark.parametrize("block", [geometry.BLOCK, 7, 1])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stability_scan_is_the_dense_scan_at_every_block(monkeypatch, block, periodic, dim):
+    monkeypatch.setattr(geometry, "BLOCK", block)
+    tied = 0
+    for name, result, config, grid in stability_cases(dim, periodic):
+        got = verify_stability(result, config, grid)
+        assert got == dense_scan(result, config, grid), name
+        assert all(type(i) is np.int64 for pair in got for i in pair)
+        assert bool(got) != name.startswith(("stable", "zero")), name
+        if name.startswith("stable"):
+            tied += np.count_nonzero(result.assignment == TIE)
+    assert tied  # stable solves with TIE cells among them
+
+
+@pytest.mark.parametrize("block", [1024, 4096])
+def test_stability_scan_memory_is_linear(monkeypatch, block):
+    # the owner distances are one call over the claimed cells, at most
+    # n_cells <= block entries; every other call is a row block of the scan
+    monkeypatch.setattr(geometry, "BLOCK", block)
+    config, grid = random_instance(3)
+    assert grid.n_cells <= block < grid.n_cells * config.n_centers
+    alloc = gale_shapley(config, grid)
+    sizes, real_distance = [], allocation.distance
+
+    def spy(a, b, domain):
+        d = real_distance(a, b, domain)
+        sizes.append(d.size)
+        return d
+
+    monkeypatch.setattr(allocation, "distance", spy)
+    assert verify_stability(alloc, config, grid) == []
+    assert max(sizes) <= max(block, config.n_centers)
+    assert len(sizes) > grid.n_cells * config.n_centers // block
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_appetite_below_0_or_not_a_number_is_rejected(bad):
+    with pytest.raises(ValueError):
+        PointConfiguration(np.zeros((2, 2)), np.array([1.0, bad]))
+
+
 @pytest.mark.parametrize("tol", [TIE_REL_TOL * 0.5, 0.05])
 @pytest.mark.parametrize("case", ["ties", "duplicates", "near ties", "at L",
                                   "on a center", "on a center periodic"])

@@ -59,6 +59,10 @@ def test_zero_scale_is_zero():
         ("exponential", {"mean": 1.0}),
         ("pareto", {"scale": 1.0, "index": 3.0}),
         ("lognormal", {"mu": 0.0, "sigma": 1.0}),
+        # base draws past the float range, still finite numbers times 0
+        ("lognormal", {"mu": 1e308, "sigma": 1.0}),
+        ("pareto", {"scale": 1e308, "index": 3.0}),
+        ("pareto", {"scale": 1.0, "index": 0.001}),
     ]:
         dist = AppetiteDistribution(family, params, scale=0.0)
         assert np.all(sample_appetites(dist, 100, replica_rng(1)) == 0.0)

@@ -186,7 +186,7 @@ def test_unwritable_artifact_exits_2_with_one_line(blocked, cfg_file, tmp_path, 
     err = capsys.readouterr().err.splitlines()  # the progress line, then the error
     assert [line for line in err if line.startswith("config error: ")] == err[-1:]
     assert len(err) == 2 and "Is a directory" in err[-1]
-    assert not (out / "manifest.json").is_file()
+    assert [p.name for p in out.iterdir()] == [blocked]  # nothing written
 
 
 def test_exit_2_run_writes_no_artifact(tmp_path):
@@ -430,6 +430,24 @@ def test_overflowing_appetites_boolean(extra, code, tmp_path):
     cfg = tmp_path / "o.cfg"
     cfg.write_text(BASE_CFG + "sides = 4,4\nboundary = open\nfloor = 0.5\n" + extra)
     assert main(["boolean", "--config", str(cfg), "--out", str(tmp_path / "r")]) == code
+
+
+@pytest.mark.parametrize("law", ["lognormal_mu = 1e308", "pareto_scale = 1e308",
+                                 "pareto_index = 0.001"])
+@pytest.mark.parametrize("subcommand", ["allocate", "percolate", "sweep"])
+def test_scale_0_with_an_overflowing_law_claims_nothing(subcommand, law, tmp_path):
+    # base draws past the float range read inf, yet 0 times a finite number is 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"sides = 2\nboundary = open\nscale = 0\nscale_grid = 0:0.2:0.1\n"
+                   f"family = {law.split('_')[0]}\n{law}\n")
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    if subcommand == "allocate":
+        assert {row[2] for row in read_csv(out / "allocation.csv")[1:]} == {"0.0"}
+    elif subcommand == "percolate":
+        assert {row[1] for row in read_csv(out / "components.csv")[1:]} == {"0"}
+    else:
+        assert read_csv(out / "sweep.csv")[1][::4] == ["0.0", "0"]
 
 
 def _reject_constant(name):
