@@ -414,7 +414,8 @@ def verify_stability(
     for s in range(0, len(cells), step):
         dist = distance(cells[s:s + step, None], centers[None], domain)
         unstable = (dist < own[s:s + step, None]) & (~sated | (dist < farthest))
-        pairs.extend(tuple(p) for p in np.argwhere(unstable) + (s, 0))
+        if unstable.any():  # a stable solve's blocks hold none; argwhere would scan each
+            pairs.extend(tuple(p) for p in np.argwhere(unstable) + (s, 0))
     return pairs
 
 

@@ -18,7 +18,16 @@ class AppetiteConfigError(ValueError):
     pass
 
 
-FAMILIES = ("constant", "exponential", "pareto", "lognormal")
+# Each law's parameters: name -> (config key, default, least value, least value refused)
+LAWS = {
+    "constant": {"value": ("value", 1.0, 0.0, False)},
+    "exponential": {"mean": ("mean", 1.0, 0.0, True)},
+    "pareto": {"scale": ("pareto_scale", 1.0, 0.0, True),
+               "index": ("pareto_index", 3.5, 0.0, True)},
+    "lognormal": {"mu": ("lognormal_mu", 0.0, -math.inf, False),
+                  "sigma": ("lognormal_sigma", 1.0, 0.0, True)},
+}
+FAMILIES = tuple(LAWS)
 
 
 @dataclass(frozen=True)
@@ -30,8 +39,9 @@ class AppetiteDistribution:
       exponential: params = {"mean": m}
       pareto:      params = {"scale": x_m, "index": a}   (survival (x_m/x)^a)
       lognormal:   params = {"mu": m, "sigma": s}
-    floor is the lower truncation (0 disables it); tail_exponent is the
-    delta used by the (2+delta)-moment diagnostics.
+    LAWS bounds each parameter from below. floor is the lower truncation (0
+    disables it); tail_exponent is the delta used by the (2+delta)-moment
+    diagnostics.
     """
 
     family: str
@@ -49,24 +59,12 @@ class AppetiteDistribution:
             raise AppetiteConfigError("floor must be nonnegative")
         if self.tail_exponent <= 0:
             raise AppetiteConfigError("tail exponent must be positive")
-        p = self.params
-        try:
-            if self.family == "constant":
-                if p["value"] < 0:
-                    raise AppetiteConfigError("constant value must be nonnegative")
-            elif self.family == "exponential":
-                if p["mean"] <= 0:
-                    raise AppetiteConfigError("exponential mean must be positive")
-            elif self.family == "pareto":
-                if p["scale"] <= 0 or p["index"] <= 0:
-                    raise AppetiteConfigError("pareto scale and index must be positive")
-            elif self.family == "lognormal":
-                if p["sigma"] <= 0:
-                    raise AppetiteConfigError("lognormal sigma must be positive")
-        except KeyError as exc:
-            raise AppetiteConfigError(
-                f"{self.family} family needs parameter {exc.args[0]!r}"
-            ) from exc
+        for name, (_, _, least, strict) in LAWS[self.family].items():
+            if name not in self.params:
+                raise AppetiteConfigError(f"{self.family} family needs parameter {name!r}")
+            if self.params[name] <= least if strict else self.params[name] < least:
+                raise AppetiteConfigError(
+                    f"{self.family} {name} must be {'positive' if strict else 'nonnegative'}")
 
     def base_quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF of the base variable V at u in (0, 1); inf past the
@@ -110,29 +108,21 @@ def _truncated_moment(dist: AppetiteDistribution, order: float) -> float:
             # either alone can overflow or underflow where their product does not
             tail = math.exp(q * math.log(p["mean"]) + math.lgamma(q + 1.0)) * float(
                 gammaincc(q + 1.0, f / p["mean"]))
+            below = -math.expm1(-f / p["mean"]) if f > 0 else 0.0
         elif dist.family == "pareto":  # a x_m^a g^(q - a) / (a - q), g = max(f, x_m)
             if q >= p["index"]:
                 return math.inf
+            below = 1.0 - (p["scale"] / f) ** p["index"] if f > p["scale"] else 0.0
             g = max(f, p["scale"])
             tail = p["index"] / (p["index"] - q) * g ** q * (p["scale"] / g) ** p["index"]
         else:  # e^(q mu + q^2 sigma^2 / 2) Phi(q sigma - z), z = (ln f - mu) / sigma
             z = (math.log(f) - p["mu"]) / p["sigma"] if f > 0 else -math.inf
+            below = float(ndtr(z))
             tail = math.exp(q * p["mu"] + 0.5 * (q * p["sigma"]) ** 2) * float(
                 ndtr(q * p["sigma"] - z))
-        return f ** q * _base_cdf(dist, f) + tail
+        return f ** q * below + tail
     except OverflowError:
         return math.inf
-
-
-def _base_cdf(dist: AppetiteDistribution, v: float) -> float:
-    p = dist.params
-    if dist.family == "exponential":
-        return -math.expm1(-v / p["mean"]) if v > 0 else 0.0
-    if dist.family == "pareto":
-        return 1.0 - (p["scale"] / v) ** p["index"] if v > p["scale"] else 0.0
-    if dist.family == "lognormal":
-        return float(ndtr((math.log(v) - p["mu"]) / p["sigma"])) if v > 0 else 0.0
-    raise AssertionError(dist.family)
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,8 @@ class TailStatistics:
     n_radii: int
 
 
-def tail_statistics(models: list[BooleanModel], n_grid: int = 200) -> TailStatistics:
-    """Pooled survival of the radii on a log grid plus sup_r r^d * P[R > r].
+def tail_statistics(models: list[BooleanModel]) -> TailStatistics:
+    """Pooled survival of the radii on a 200-point log grid plus sup_r r^d * P[R > r].
 
     Censored (window-truncated) radii are excluded. The grid runs from half
     the smallest positive radius to just past the largest. On [x_(k-1), x_k)
@@ -170,7 +170,7 @@ def tail_statistics(models: list[BooleanModel], n_grid: int = 200) -> TailStatis
     positive = pooled[pooled > 0]
     if positive.size == 0 or positive[0] * 0.5 == 0:  # no float below the smallest radius
         raise BooleanModelError("the radii underflow the float range; raise the scale or the floor")
-    grid = np.geomspace(positive[0] * 0.5, pooled[-1] * 1.001, n_grid)
+    grid = np.geomspace(positive[0] * 0.5, pooled[-1] * 1.001, 200)
     survival = (n - np.searchsorted(pooled, grid, side="right")) / n
     at_jumps = n - np.searchsorted(pooled, pooled, side="left")  # #{R >= x_k}
     return TailStatistics(

@@ -29,6 +29,10 @@ def nagaev_bound(n: int, x: float, variance: float, upper_moment: float,
     return min(power_term + exp_term, 1.0)
 
 
+# (mean, threshold) pairs, 4 means x 4 ratios, of the bounds table and its validate row
+CHERNOFF_GRID = tuple((m, m * r) for m in (1.0, 5.0, 10.0, 50.0) for r in (1.1, 1.5, 2.0, 5.0))
+
+
 def poisson_chernoff(mean: float, threshold: float) -> float:
     """Chernoff upper bound on P[N >= a] for N Poisson(mean), valid for a > mean.
 
@@ -52,10 +56,11 @@ class PhaseParams:
     mean_appetite_base: float  # E[V] of the base variable
 
 
-def classify_phase(p: PhaseParams, tol: float = 1e-12) -> str:
-    """Phase of the allocation by the product intensity * scale * E[V]."""
+def classify_phase(p: PhaseParams) -> str:
+    """Phase of the allocation by the product intensity * scale * E[V];
+    critical within 1e-12 of 1."""
     product = p.intensity * p.scale * p.mean_appetite_base
-    if abs(product - 1.0) <= tol:
+    if abs(product - 1.0) <= 1e-12:
         return "critical"
     return "subcritical" if product < 1.0 else "supercritical"
 

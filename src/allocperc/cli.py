@@ -2,8 +2,8 @@
 
 Each subcommand computes its artifacts (CSV/PGM bytes by file name) from the
 config alone; main writes them and a manifest of exactly those files into the
-run directory. Progress lines go to stderr. Exit codes: 0 success,
-2 configuration error, 3 invariant breach.
+run directory, which it creates only then. Progress lines go to stderr. Exit
+codes: 0 success, 2 configuration error, 3 invariant breach.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from . import __version__
 from .allocation import SiteGrid, phase_diagnostics, sample_replica
 from .appetite import moment_report
 from .booleanmodel import BooleanModelError, build_boolean, tail_statistics
-from .bounds import PhaseParams, classify_phase, finiteness_threshold, nagaev_bound, poisson_chernoff
+from .bounds import (CHERNOFF_GRID, PhaseParams, classify_phase, finiteness_threshold,
+                     nagaev_bound, poisson_chernoff)
 from .config import ConfigError, ExperimentConfig, parse_config_file, resolve_config
 from .percolation import claimed_components, critical_sweep, map_ordered, run_replica
 from .validation import run_validation
@@ -156,12 +157,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
 
 def cmd_bounds(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
     report = moment_report(cfg.appetite)
-    rows = []
-    for mean in (1.0, 5.0, 10.0, 50.0):
-        for ratio in (1.1, 1.5, 2.0, 5.0):
-            a = mean * ratio
-            rows.append([mean, a, f"{poisson_chernoff(mean, a):.12g}"])
-    artifacts = {"poisson_bounds.csv": _csv(["mean", "threshold", "bound"], rows)}
+    artifacts = {"poisson_bounds.csv": _csv(["mean", "threshold", "bound"], [
+        [mean, a, f"{poisson_chernoff(mean, a):.12g}"] for mean, a in CHERNOFF_GRID])}
 
     rows = []
     if report.finite and report.variance > 0 and report.upper_moment > 0:
@@ -242,12 +239,15 @@ def main(argv: list[str] | None = None) -> int:
         }
         cfg = resolve_config(file_values, overrides)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        base = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not base.is_dir():  # refused before any work
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(base))
         started = time.time()
         code, artifacts, extras = _COMMANDS[args.subcommand](cfg)
         for name in [*artifacts, "manifest.json"]:  # refused before any write
             if (out / name).is_dir():
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out / name))
+        out.mkdir(parents=True, exist_ok=True)
         for name, data in artifacts.items():
             (out / name).write_bytes(data)
         manifest = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import SiteGrid
-from .appetite import FAMILIES, AppetiteConfigError, AppetiteDistribution
+from .appetite import FAMILIES, LAWS, AppetiteConfigError, AppetiteDistribution
 from .geometry import Domain, GeometryError
 
 
@@ -25,12 +25,7 @@ _DEFAULTS = {
     "boundary": "periodic",
     "intensity": 1.0,
     "family": "constant",
-    "value": 1.0,
-    "mean": 1.0,
-    "pareto_scale": 1.0,
-    "pareto_index": 3.5,
-    "lognormal_mu": 0.0,
-    "lognormal_sigma": 1.0,
+    **{key: default for law in LAWS.values() for key, default, _, _ in law.values()},
     "scale": 0.5,
     "floor": 0.0,
     "tail_exponent": 1.0,
@@ -154,14 +149,7 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     family = str(merged["family"]).strip().lower()
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
-    if family == "constant":
-        params = {"value": as_float("value")}
-    elif family == "exponential":
-        params = {"mean": as_float("mean")}
-    elif family == "pareto":
-        params = {"scale": as_float("pareto_scale"), "index": as_float("pareto_index")}
-    else:
-        params = {"mu": as_float("lognormal_mu"), "sigma": as_float("lognormal_sigma")}
+    params = {name: as_float(key) for name, (key, _, _, _) in LAWS[family].items()}
 
     intensity = as_float("intensity")
     if intensity <= 0:

@@ -179,16 +179,17 @@ def _component_diameter(cells: np.ndarray, grid: SiteGrid) -> float:
     The member pairs differ by the shifts at which the circular
     autocorrelation of the cells' indicator is positive (it counts the
     pairs, so it exceeds 0.5 exactly there). On a torus it runs on the cell
-    grid. In an open box it runs on the cells' bounding box, padded to 2e - 1
-    cells on an axis where they span e: there the circular autocorrelation is
-    the linear one. Either way, shift k on an axis of n cells has length
-    min(k, n - k)*h.
+    grid. In an open box it runs on the cells' bounding box, padded on an
+    axis where they span e to the least length >= 2e - 1 with no prime factor
+    past 5, a fast FFT length: on any length >= 2e - 1 the circular
+    autocorrelation is the linear one. Either way, shift k on an axis of n
+    cells has length min(k, n - k)*h.
     """
     if grid.domain.periodic:
         shape = grid.shape
     else:
         cells = cells - cells.min(axis=0)
-        shape = tuple(int(n) for n in 2 * cells.max(axis=0) + 1)
+        shape = tuple(_fast_len(int(n)) for n in 2 * cells.max(axis=0) + 1)
     cube = np.zeros(shape)
     cube[tuple(cells.T)] = 1.0
     spectrum = np.fft.rfftn(cube)
@@ -196,6 +197,18 @@ def _component_diameter(cells: np.ndarray, grid: SiteGrid) -> float:
     h = grid.spacing
     sq = sum((np.minimum(k, n - k) * h) ** 2 for k, n in zip(np.nonzero(pairs), shape))
     return float(np.sqrt(sq.max()) + h * math.sqrt(len(shape)))
+
+
+def _fast_len(n: int) -> int:
+    """The least length >= n with no prime factor past 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def claimed_components(alloc: AllocationResult, grid: SiteGrid) -> ClusterReport:
@@ -240,10 +253,11 @@ class SweepResult:
     counters: np.ndarray  # (n_scales, replicas, 2): each solve's rounds, beyond_list
 
 
-def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def _wilson(successes: int, n: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
-    p = successes / n
+    p, z = successes / n, 1.96
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom

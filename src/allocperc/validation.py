@@ -25,7 +25,7 @@ from .allocation import (
 )
 from .appetite import AppetiteDistribution, moment_report, sample_appetites
 from .booleanmodel import BooleanModel, build_boolean, check_domination, compute_radius
-from .bounds import finiteness_threshold, poisson_chernoff
+from .bounds import CHERNOFF_GRID, finiteness_threshold, poisson_chernoff
 from .geometry import Domain, distance, replica_rng, sample_poisson, unit_ball_volume
 from .percolation import ball_components, map_ordered, mask_components
 
@@ -418,10 +418,9 @@ def _not_dense_walk(rng, i) -> bool:
 
 
 def _chernoff_below_tail(rng, i) -> bool:
-    """The Chernoff bound undercuts the exact Poisson tail at grid point i
-    (4 means x 4 ratios); rng is unused."""
-    mean = (1.0, 5.0, 10.0, 50.0)[i // 4]
-    a = mean * (1.1, 1.5, 2.0, 5.0)[i % 4]
+    """The Chernoff bound undercuts the exact Poisson tail at grid point i;
+    rng is unused."""
+    mean, a = CHERNOFF_GRID[i]
     return poisson_chernoff(mean, a) < exact_poisson_tail(mean, math.ceil(a)) - 1e-12
 
 
@@ -435,7 +434,7 @@ _CHECKS = (
     ("ball_union_dominates_claimed_set", 3000, 20, _undominated),
     ("ball_components_vs_bfs", 4000, 20, _ball_partition_differs),
     ("mask_components_vs_floodfill", 5000, 20, _mask_partition_differs),
-    ("poisson_chernoff_dominates_exact_tail", 6000, 16, _chernoff_below_tail),
+    ("poisson_chernoff_dominates_exact_tail", 6000, len(CHERNOFF_GRID), _chernoff_below_tail),
     ("boolean_model_components_vs_bfs", 7000, 20, _boolean_model_differs),
     ("assignment_equals_dense_walk", 8000, 20, _not_dense_walk),
 )

@@ -16,6 +16,8 @@ from allocperc.appetite import (
     moment_report,
     sample_appetites,
 )
+from allocperc.cli import EXIT_CONFIG, main
+from allocperc.config import resolve_config
 from allocperc.geometry import replica_rng
 
 
@@ -32,20 +34,21 @@ def _density(family, params):
 
 
 def oracle_moment(family, params, floor, q):
-    """E[max(V, floor)^q] by quadrature of v^q times the density in v-space,
-    split at the floor and at the Pareto scale."""
-    if family == "constant":
-        return max(params["value"], floor) ** q
-    if family == "pareto" and q >= params["index"]:
+    """E[max(V, floor)^q] = floor^q (1 - P[V > floor]) + E[V^q; V > floor],
+    both parts above the floor (or the Pareto scale, where that is higher) by
+    quadrature of the density in v-space; inf past the float range."""
+    try:
+        if family == "constant":
+            return max(params["value"], floor) ** q
+        if family == "pareto" and q >= params["index"]:
+            return math.inf
+        pdf = _density(family, params)
+        lo = max(floor, params["scale"]) if family == "pareto" else floor
+        above, tail = (integrate.quad(fn, lo, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                       for fn in (pdf, lambda v: pdf(v) and v ** q * pdf(v)))
+        return floor ** q * (1.0 - above) + tail
+    except OverflowError:
         return math.inf
-    pdf = _density(family, params)
-    cuts = sorted({0.0, floor, params["scale"] if family == "pareto" else 0.0})
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:] + [math.inf]):
-        power = (lambda v: floor ** q) if hi <= floor else (lambda v: v ** q)
-        total += integrate.quad(lambda v: power(v) * pdf(v), lo, hi,
-                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    return total
 
 
 def test_constant_family():
@@ -93,10 +96,65 @@ def test_floor_monotone_pathwise():
 def test_invalid_parameters_rejected():
     with pytest.raises(AppetiteConfigError):
         AppetiteDistribution("exponential", {"mean": -1.0})
-    with pytest.raises(AppetiteConfigError):
+    with pytest.raises(AppetiteConfigError, match="pareto family needs parameter 'index'"):
         AppetiteDistribution("pareto", {"scale": 1.0})
     with pytest.raises(AppetiteConfigError):
         AppetiteDistribution("gamma", {})
+
+
+_LAW_DEFAULTS = {"value": "1.0", "mean": "1.0", "pareto_scale": "1.0", "pareto_index": "3.5",
+                 "lognormal_mu": "0.0", "lognormal_sigma": "1.0"}
+
+
+@pytest.mark.parametrize("family, overrides, want", [
+    ("constant", {}, {"value": 1.0}),
+    ("constant", {"value": "0"}, {"value": 0.0}),
+    ("exponential", {}, {"mean": 1.0}),
+    ("exponential", {"mean": "2.5"}, {"mean": 2.5}),
+    ("exponential", {"pareto_index": "-1", "value": "-1"}, {"mean": 1.0}),  # not its keys
+    ("pareto", {}, {"scale": 1.0, "index": 3.5}),
+    ("pareto", {"pareto_scale": "0.5"}, {"scale": 0.5, "index": 3.5}),
+    ("pareto", {"pareto_index": "6"}, {"scale": 1.0, "index": 6.0}),
+    ("lognormal", {}, {"mu": 0.0, "sigma": 1.0}),
+    ("lognormal", {"lognormal_mu": "-1e308"}, {"mu": -1e308, "sigma": 1.0}),
+    ("lognormal", {"lognormal_sigma": "0.5"}, {"mu": 0.0, "sigma": 0.5}),
+])
+def test_resolve_config_builds_each_law(family, overrides, want):
+    cfg = resolve_config({"family": family, "floor": "0.5", **overrides})
+    assert cfg.appetite == AppetiteDistribution(family, want, scale=0.5, floor=0.5)
+    assert all(type(v) is float for v in cfg.appetite.params.values())
+    assert {k: cfg.raw[k] for k in _LAW_DEFAULTS} == {**_LAW_DEFAULTS, **overrides}
+
+
+_REFUSED = {  # config key, value: the law, its params and the parameter refused
+    ("value", "-1"): ("constant", {"value": -1.0}, "value"),
+    ("mean", "0"): ("exponential", {"mean": 0.0}, "mean"),
+    ("pareto_scale", "0"): ("pareto", {"scale": 0.0, "index": 3.5}, "scale"),
+    ("pareto_index", "0"): ("pareto", {"scale": 1.0, "index": 0.0}, "index"),
+    ("lognormal_sigma", "0"): ("lognormal", {"mu": 0.0, "sigma": 0.0}, "sigma"),
+}
+
+
+@pytest.mark.parametrize("key, value", _REFUSED, ids=[f"{k}={v}" for k, v in _REFUSED])
+def test_out_of_range_law_values_are_refused(key, value, tmp_path, capsys):
+    family, params, name = _REFUSED[key, value]
+    with pytest.raises(AppetiteConfigError, match=f"^{family} {name} must be "):
+        AppetiteDistribution(family, params)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"sides = 2\nfamily = {family}\n{key} = {value}\n")
+    out = tmp_path / "run"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {family} {name} must be "
+                   + ("nonnegative" if family == "constant" else "positive")]
+    assert not out.exists()
+
+
+def test_least_law_values_that_are_not_refused():
+    AppetiteDistribution("constant", {"value": 0.0})
+    AppetiteDistribution("lognormal", {"mu": -math.inf, "sigma": 1.0})  # mu has no bound
+    for family, params, name in _REFUSED.values():  # the least float above each refused value
+        AppetiteDistribution(family, {**params, name: 5e-324})
 
 
 def test_moment_report_constant():
@@ -156,7 +214,7 @@ _LAWS = {
 
 
 @pytest.mark.parametrize("tail", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("floor", [0.0, 0.3, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("floor", [0.0, 0.3, 0.5, 1.0, 3.0, 1e-300, 1e300])
 @pytest.mark.parametrize("law", _LAWS.values(), ids=_LAWS.keys())
 def test_moment_report_matches_quadrature_oracle(law, floor, tail):
     family, params = law

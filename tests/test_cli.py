@@ -194,7 +194,7 @@ def test_exit_2_run_writes_no_artifact(tmp_path):
     cfg.write_text(BASE_CFG + "sides = 2,2\nboundary = open\nfloor = 1\nscale = 5\n")
     out = tmp_path / "run"
     assert main(["boolean", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
@@ -235,9 +235,11 @@ def test_percolate_outputs(cfg_file, tmp_path):
     assert len(rows) == 3
 
 
-def test_sweep_needs_open_box(cfg_file, tmp_path):
-    code = main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "r")])
-    assert code == EXIT_CONFIG
+def test_sweep_needs_open_box(cfg_file, tmp_path, capsys):
+    out = tmp_path / "runs" / "sweep"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: sweep detects box crossings; set boundary = open\n"
+    assert not (tmp_path / "runs").exists()  # no run directory, nor its parent
 
 
 def test_validate_same_on_a_thread_pool(cfg_file, tmp_path):

@@ -464,6 +464,30 @@ def test_open_diameter_pads_only_the_component_box(cells, fft_cells, want, monke
     assert report.diameter == pytest.approx(want + 0.5 * math.sqrt(3), rel=1e-12)
 
 
+@pytest.mark.parametrize("e", [12, 120])
+def test_open_diameter_on_a_fast_fft_length(e, monkeypatch):
+    # one component spans the e x e box; 2e - 1 (23, 239) is prime, so the
+    # autocorrelation runs on 2e (24 = 2^3 3, 240 = 2^4 3 5) cells an axis
+    h = 0.25
+    grid = SiteGrid(domain=Domain(sides=(e * h, e * h), periodic=False), spacing=h)
+    mask = np.random.default_rng(e).random(grid.shape) < 0.5
+    mask[e // 2, :] = mask[:, e // 2] = True
+    first = mask_components(mask, grid)
+    mask = first.labels.reshape(grid.shape) == first.origin_component
+    real_rfftn = np.fft.rfftn
+    shapes = []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    report = mask_components(mask, grid)
+    assert report.n_components == 1 and report.origin_component == 0
+    assert shapes == [(2 * e, 2 * e)]
+    assert report.diameter == pytest.approx(row_extreme_diameter(mask, h), rel=1e-12)
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_ball_origin_diameter_in_small_blocks(periodic, monkeypatch):
     dom = Domain(sides=(12.0, 12.0), periodic=periodic)
