@@ -4,7 +4,6 @@ models, tail bounds, and percolation experiments."""
 __version__ = "0.1.0"
 
 from .allocation import (
-    TIE,
     UNCLAIMED,
     AllocationResult,
     PointConfiguration,

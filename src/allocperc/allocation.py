@@ -29,9 +29,7 @@ from .geometry import (
 )
 
 UNCLAIMED = -1
-TIE = -2
 
-TIE_REL_TOL = 1e-9  # times grid spacing
 PREF_K = 8  # nearest centers listed per cell
 
 
@@ -119,7 +117,7 @@ def sample_replica(domain: Domain, intensity: float, dist: AppetiteDistribution,
 class AllocationResult:
     """Cell assignment plus per-center diagnostics.
 
-    assignment is flat over grid cells: a center index, UNCLAIMED, or TIE.
+    assignment is flat over grid cells: a center index or UNCLAIMED.
     """
 
     assignment: np.ndarray
@@ -148,10 +146,9 @@ def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
 
 
 class _Lists(SimpleNamespace):
-    """Solve state that depends only on (grid, centers): cells, the centers'
-    kd-tree, each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
-    prefix) and length plen, all read-only; and clear, the sorted keys
-    cell * n_centers + center of pairs found tie-free past a list, then int64 max."""
+    """Solve state that depends only on (grid, centers), all read-only: cells,
+    and each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
+    prefix) and length plen."""
 
 
 def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
@@ -162,7 +159,6 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
         return lists
     keep(None, "lists")  # free the old entry before building the new one
     cells = grid.cell_centers()
-    tree = kd_tree(centers, grid.domain)
     nbr = np.zeros((len(cells), min(PREF_K, len(centers))), dtype=np.int64)
     nbr_d = np.empty(nbr.shape)
 
@@ -170,34 +166,33 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
         nbr[rows], nbr_d[rows] = c, d
         return np.ones(len(rows), dtype=bool)
 
-    nearest_until(tree, cells, centers, grid.domain, store, k=PREF_K)
+    nearest_until(kd_tree(centers, grid.domain), cells, centers, grid.domain, store, k=PREF_K)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
     for a in (cells, nbr, nbr_d, plen):
         a.setflags(write=False)
-    return keep(_Lists(cells=cells, tree=tree, nbr=nbr, nbr_d=nbr_d, plen=plen,
-                       clear=np.array([np.iinfo(np.int64).max])), "lists", *key)
+    return keep(_Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen), "lists", *key)
 
 
 def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult:
     """Stable assignment by site-proposing deferred acceptance.
 
-    Each round every unassigned cell applies to the nearest center that has
-    not rejected it; each center keeps the nearest applicants up to its quota
-    and rejects the rest. Cells rejected everywhere end UNCLAIMED; cells whose
-    current and next candidate are equidistant within tolerance end TIE.
+    Each round every unassigned cell applies to its first center that has
+    not rejected it; each center keeps its first applicants up to its quota
+    and rejects the rest. Cells rejected everywhere end UNCLAIMED.
 
-    Centers are ranked by (distance, index). A cell's next candidate is the
-    first center after its last rejection that holds it within its cutoff,
-    taken from the certified prefix of its kd-tree list of PREF_K nearest
-    centers, or past it by one exact jump (_next_key).
-    Only the centers that receive an applicant re-rank their cells. The
-    rounds are those of the dense walk over full preference rows, so the
-    result is the same, TIE cells included, and no (cells x centers) array
-    is built.
+    Cells rank centers by (distance, center index) and centers rank cells by
+    (distance, cell index): both are restrictions of the strict order
+    (distance, cell, center) on pairs, so the stable assignment is unique and
+    any order of proposals reaches it, ties of distance or not. A cell's next
+    candidate is the first center after its last rejection that holds it
+    within its cutoff, taken from the certified prefix of its kd-tree list of
+    PREF_K nearest centers, or past it by one exact jump (_next_key). Only
+    the centers that receive an applicant re-rank their cells, and no
+    (cells x centers) array is built.
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
-    status = np.full(n_cells, UNCLAIMED, dtype=np.int64)  # holder, or TIE
+    status = np.full(n_cells, UNCLAIMED, dtype=np.int64)  # each cell's holder
     if n_centers == 0:
         return AllocationResult(
             assignment=status,
@@ -209,15 +204,11 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
 
     domain = grid.domain
     centers = config.centers
-    if n_cells * n_centers >= 2 ** 63:
-        raise AllocationError("cells x centers overflows the int64 tie-free keys")
     lists = _lists(centers, grid)
-    cells, tree, nbr, nbr_d, plen = lists.cells, lists.tree, lists.nbr, lists.nbr_d, lists.plen
-    clear = [lists.clear]  # pairs found tie-free past a list, merged in at the end
+    cells, nbr, nbr_d, plen = lists.cells, lists.nbr, lists.nbr_d, lists.plen
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
-    tie_tol = TIE_REL_TOL * grid.spacing
 
     # A cell's key (distance, center) is its current candidate and, once
     # rejected, its last rejection; a cell is rejected only at its candidate,
@@ -237,9 +228,9 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         # Each cell applies to the first center after its last rejection that
         # would not reject it: from its certified list, else by a jump.
         w = max(int(plen[active].max()), 1)  # later columns hold only inf
-        col, c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
-                                     cand[active], cutoff)
-        listed = col >= 0
+        c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
+                                cand[active], cutoff)
+        listed = c >= 0
         cand[active[listed]], dcand[active[listed]] = c[listed], dc[listed]
         past = active[~listed]
         if past.size:
@@ -249,32 +240,16 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             cand[past], dcand[past] = c[found], dc[found]
             jumped[past] = True
         applicants = np.r_[active[listed], past]
-
-        # Equidistant next candidate: the cell sits on a territory boundary.
-        nxt = np.r_[col[listed] + 1, plen[past]]  # list column after the candidate
-        inside = nxt < plen[applicants]
-        tied = np.zeros(applicants.size, dtype=bool)
-        a = applicants[inside]
-        tied[inside] = nbr_d[a, nxt[inside]] - dcand[a] < tie_tol
-        # Past the list, only pairs not yet found tie-free (a tie needs no quota).
-        out = np.flatnonzero(~inside)
-        key = applicants[out] * n_centers + cand[applicants[out]]
-        unseen = lists.clear[np.searchsorted(lists.clear, key)] != key
-        out, key = out[unseen], key[unseen]
-        a = applicants[out]
-        tied[out] = _tied_past_list(tree, cells[a], dcand[a], cand[a], tie_tol, centers, domain)
-        clear.append(key[~tied[out]])
-        status[applicants[tied]] = TIE
-        fresh = applicants[~tied]
-        if fresh.size == 0:
+        if applicants.size == 0:
             break
 
         # Each center that got an applicant ranks its held cells and new
-        # applicants and keeps the quota nearest; no other group changes.
+        # applicants by (distance, cell) and keeps the quota first; no other
+        # group changes.
         touched = np.zeros(n_centers, dtype=bool)
-        touched[cand[fresh]] = True
+        touched[cand[applicants]] = True
         claimed = np.flatnonzero(status >= 0)
-        pool = np.r_[fresh, claimed[touched[status[claimed]]]]
+        pool = np.r_[applicants, claimed[touched[status[claimed]]]]
         pool = pool[np.lexsort((pool, dcand[pool], cand[pool]))]
         gc = cand[pool]
         new = np.r_[True, gc[1:] != gc[:-1]]
@@ -296,7 +271,6 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
 
-    lists.clear = np.sort(np.concatenate(clear), kind="stable")
     counts = np.bincount(status[status >= 0], minlength=n_centers)
     volumes = counts * hd
     # Satedness tolerant to one-cell quantization of the last shell.
@@ -315,8 +289,7 @@ def _first_eligible(c, d, lo_d, lo_c, cutoff):
     (distance, index), the first key after the row's key (lo_d, lo_c) whose
     center holds it within its cutoff.
 
-    Returns (column, center, distance), with column and center -1 and
-    distance inf where none is.
+    Returns (center, distance), with center -1 and distance inf where none is.
     """
     ld, lc = lo_d[:, None], lo_c[:, None]
     ok = (d <= cutoff[c]) & ((d > ld) | ((d == ld) & (c > lc)))
@@ -324,8 +297,7 @@ def _first_eligible(c, d, lo_d, lo_c, cutoff):
     j = np.argmin(d, axis=1)  # first of equal distances: the lower index
     rows = np.arange(len(j))
     dj = d[rows, j]
-    hit = dj < np.inf
-    return np.where(hit, j, -1), np.where(hit, c[rows, j], -1), dj
+    return np.where(dj < np.inf, c[rows, j], -1), dj
 
 
 def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
@@ -369,51 +341,43 @@ def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
     return best_c, best_d
 
 
-def _tied_past_list(tree, pts, d, c, tol, centers, domain):
-    """Whether some center after the key (d, c) lies within d + tol.
-
-    A kd-tree count of the centers in (d - tol, d + 2 tol] settles most
-    points: a count of 1 is the candidate alone (tree distances are off by
-    rounding, far below tol). The rest recompute the distances of their
-    neighbours within d + 2 tol.
-    """
-    hi = d + 2.0 * tol
-    n_hi = tree.query_ball_point(pts, hi, return_length=True)
-    n_lo = tree.query_ball_point(pts, np.maximum(d - tol, 0.0), return_length=True)
-    many = np.flatnonzero(n_hi - np.where(d - tol >= 0.0, n_lo, 0) > 1)
-    tied = np.zeros(len(pts), dtype=bool)
-    for i, other, r in within(tree, pts[many], hi[many], centers, domain):
-        m = many[i]
-        later = (r > d[m]) | ((r == d[m]) & (other > c[m]))
-        tied[m[later & (r - d[m] < tol)]] = True
-    return tied
-
-
 def verify_stability(
     result: AllocationResult, config: PointConfiguration, grid: SiteGrid
 ) -> list[tuple[int, int]]:
     """Exhaustive unstable-pair scan; empty list means stable.
 
-    A cell desires a strictly closer center (or any center when unclaimed);
-    a center covets any cell when unsated, or any cell strictly closer than
-    its farthest territory cell. TIE cells are excluded. Satedness is derived
-    from the assignment, as gale_shapley derives it; result.sated is not read.
-    It scans rows of about geometry.BLOCK cell-center pairs at a time.
+    Pairs are compared by key, as gale_shapley ranks them. A cell x desires a
+    center c when (d(x, c), c) comes before (d(x, own), own), its own
+    center's key (any center when x is unclaimed). A center c covets x when
+    c is unsated, or when (d(x, c), x) comes before (d(far, c), far), far
+    being the last cell of its territory in that order. Nothing is exempt.
+    Satedness is derived from the assignment, as gale_shapley derives it;
+    result.sated is not read. It scans rows of about geometry.BLOCK
+    cell-center pairs at a time.
     """
     cells = grid.cell_centers()
     centers, domain, assign = config.centers, grid.domain, result.assignment
-    claimed = assign >= 0
-    own = np.where(assign == TIE, -np.inf, np.inf)  # a TIE cell desires no center
-    own[claimed] = distance(cells[claimed], centers[assign[claimed]], domain)
+    claimed = np.flatnonzero(assign >= 0)
+    owner = assign[claimed]
+    own = np.full(len(cells), np.inf)  # an unclaimed cell desires every center
+    own[claimed] = distance(cells[claimed], centers[owner], domain)
     farthest = np.full(config.n_centers, -np.inf)
-    np.maximum.at(farthest, assign[claimed], own[claimed])
+    np.maximum.at(farthest, owner, own[claimed])
+    far_cell = np.full(config.n_centers, -1)
+    at_far = own[claimed] == farthest[owner]
+    np.maximum.at(far_cell, owner[at_far], claimed[at_far])
     hd = grid.cell_volume
-    sated = np.bincount(assign[claimed], minlength=config.n_centers) * hd >= config.appetites - hd
+    sated = np.bincount(owner, minlength=config.n_centers) * hd >= config.appetites - hd
 
+    index = np.arange(config.n_centers)
     pairs, step = [], max(1, geometry.BLOCK // max(config.n_centers, 1))
     for s in range(0, len(cells), step):
-        dist = distance(cells[s:s + step, None], centers[None], domain)
-        unstable = (dist < own[s:s + step, None]) & (~sated | (dist < farthest))
+        x = np.arange(s, min(s + step, len(cells)))[:, None]
+        dist = distance(cells[x], centers[None], domain)
+        mine = own[x]
+        desires = (dist < mine) | ((dist == mine) & (index < assign[x]))
+        covets = ~sated | (dist < farthest) | ((dist == farthest) & (x < far_cell))
+        unstable = desires & covets
         if unstable.any():  # a stable solve's blocks hold none; argwhere would scan each
             pairs.extend(tuple(p) for p in np.argwhere(unstable) + (s, 0))
     return pairs
@@ -429,7 +393,8 @@ class PhaseDiagnostics:
 def phase_diagnostics(
     result: AllocationResult, config: PointConfiguration, grid: SiteGrid
 ) -> PhaseDiagnostics:
-    """Claimed-volume and satedness summaries; TIE cells count as unclaimed volume."""
+    """Claimed-volume and satedness summaries; UNCLAIMED cells make up the
+    unclaimed volume."""
     hd = grid.cell_volume
     vol = grid.domain.volume
     claimed = float(np.count_nonzero(result.claimed_mask)) * hd

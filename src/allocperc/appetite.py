@@ -53,16 +53,17 @@ class AppetiteDistribution:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise AppetiteConfigError(f"unknown appetite family {self.family!r}")
-        if self.scale < 0:
+        # Each check is written so that NaN fails it.
+        if not self.scale >= 0:
             raise AppetiteConfigError("scale must be nonnegative")
-        if self.floor < 0:
+        if not self.floor >= 0:
             raise AppetiteConfigError("floor must be nonnegative")
-        if self.tail_exponent <= 0:
+        if not self.tail_exponent > 0:
             raise AppetiteConfigError("tail exponent must be positive")
         for name, (_, _, least, strict) in LAWS[self.family].items():
             if name not in self.params:
                 raise AppetiteConfigError(f"{self.family} family needs parameter {name!r}")
-            if self.params[name] <= least if strict else self.params[name] < least:
+            if not (self.params[name] > least if strict else self.params[name] >= least):
                 raise AppetiteConfigError(
                     f"{self.family} {name} must be {'positive' if strict else 'nonnegative'}")
 

@@ -2,13 +2,16 @@
 
 Each subcommand computes its artifacts (CSV/PGM bytes by file name) from the
 config alone; main writes them and a manifest of exactly those files into the
-run directory, which it creates only then. Progress lines go to stderr. Exit
-codes: 0 success, 2 configuration error, 3 invariant breach.
+run directory, which it creates only then. Every file is written under a
+temporary name and renamed once all writes have succeeded, so a failed write
+leaves no new file or directory. Progress lines go to stderr. Exit codes: 0
+success, 2 configuration error, 3 invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import hashlib
@@ -247,21 +250,31 @@ def main(argv: list[str] | None = None) -> int:
         for name in [*artifacts, "manifest.json"]:  # refused before any write
             if (out / name).is_dir():
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out / name))
+        made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
-        for name, data in artifacts.items():
-            (out / name).write_bytes(data)
-        manifest = {
-            "tool_version": __version__,
-            "subcommand": args.subcommand,
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "artifacts": [{"name": name, "sha256": hashlib.sha256(artifacts[name]).hexdigest()}
-                          for name in sorted(artifacts)],
-            "duration_seconds": round(time.time() - started, 3),
-            "extras": extras,
-        }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+        parts = {name: out / f".{name}.part" for name in [*artifacts, "manifest.json"]}
+        try:
+            for name, data in artifacts.items():
+                parts[name].write_bytes(data)
+            manifest = {
+                "tool_version": __version__,
+                "subcommand": args.subcommand,
+                "seed": cfg.seed,
+                "config": cfg.raw,
+                "artifacts": [{"name": name, "sha256": hashlib.sha256(artifacts[name]).hexdigest()}
+                              for name in sorted(artifacts)],
+                "duration_seconds": round(time.time() - started, 3),
+                "extras": extras,
+            }
+            parts["manifest.json"].write_bytes(
+                (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+            for name, part in parts.items():
+                part.replace(out / name)
+        except OSError:  # undo what this run wrote; the first error is the one reported
+            for undo in [*(p.unlink for p in parts.values()), *(d.rmdir for d in made)]:
+                with contextlib.suppress(OSError):
+                    undo()
+            raise
     except (ConfigError, OSError) as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG

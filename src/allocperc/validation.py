@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocation import (
-    TIE,
-    TIE_REL_TOL,
     UNCLAIMED,
     AllocationError,
     AllocationResult,
@@ -100,12 +98,12 @@ def bfs_ball_components_oracle(centers: np.ndarray, radii: np.ndarray,
 def dense_gale_shapley(config, grid):
     """Deferred acceptance over full dense preference rows, one (cells x
     centers) distance matrix and its argsort. It shares no solver code with
-    gale_shapley, whose assignment it must equal, TIE cells included.
+    gale_shapley, whose assignment it must equal.
 
-    Each round every unassigned cell applies to the nearest center that has
-    not rejected it; each center keeps the nearest applicants up to its quota
-    and rejects the rest. Cells rejected everywhere end UNCLAIMED; cells whose
-    current and next candidate are equidistant within tolerance end TIE.
+    Each round every unassigned cell applies to its first center in
+    (distance, index) order that has not rejected it; each center keeps its
+    first applicants in (distance, cell index) order up to its quota and
+    rejects the rest. Cells rejected everywhere end UNCLAIMED.
     """
     n_cells = grid.n_cells
     n_centers = config.n_centers
@@ -127,11 +125,10 @@ def dense_gale_shapley(config, grid):
 
     hd = grid.cell_volume
     quota = cell_quotas(config.appetites, hd)
-    tie_tol = TIE_REL_TOL * grid.spacing  # the value at import: a patched rule stays visible
 
     ptr = np.zeros(n_cells, dtype=np.int64)  # index into pref of current candidate
     held = np.zeros(n_cells, dtype=bool)
-    decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED or TIE, final
+    decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED, final
     # A full center never again accepts strictly beyond its current worst
     # held distance; cutoffs only shrink, so skipping on them is safe.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
@@ -172,21 +169,6 @@ def dense_gale_shapley(config, grid):
 
         cand = pref[pool, ptr[pool]]
         dcand = sdist[pool, ptr[pool]]
-
-        # Equidistant next candidate: the cell sits on a territory boundary.
-        applying = ~held[pool]
-        has_next = ptr[pool] + 1 < n_centers
-        nxt = np.where(has_next, np.minimum(ptr[pool] + 1, n_centers - 1), ptr[pool])
-        dnext = sdist[pool, nxt]
-        tied = applying & has_next & (dnext - dcand < tie_tol)
-        if np.any(tied):
-            tcells = pool[tied]
-            status[tcells] = TIE
-            decided[tcells] = True
-            keepm = ~tied
-            pool, cand, dcand = pool[keepm], cand[keepm], dcand[keepm]
-            if pool.size == 0:  # every applicant tied
-                break
 
         # Dense pool: every undecided cell's candidate center ranks it among
         # held + new applicants; keep the quota nearest.
@@ -343,7 +325,7 @@ def _not_monotone(rng, i) -> bool:
     low = AppetiteDistribution("exponential", {"mean": 1.0}, scale=0.3, floor=0.1)
     a1, a2 = (gale_shapley(PointConfiguration(centers, dist.quantile(draws)), grid).assignment
               for dist in (low, replace(low, scale=0.6)))
-    return bool(np.any((a1 >= 0) & (a2 < 0) & (a2 != TIE)))
+    return bool(np.any((a1 >= 0) & (a2 < 0)))
 
 
 def _undominated(rng, i) -> bool:
@@ -396,8 +378,8 @@ def _mask_partition_differs(rng, i) -> bool:
 
 
 def _not_dense_walk(rng, i) -> bool:
-    """Deferred acceptance and the dense walk assign some cell differently,
-    TIE cells included, on a shuffled 3-scale ladder of one set of centers."""
+    """Deferred acceptance and the dense walk assign some cell differently on
+    a shuffled 3-scale ladder of one set of centers."""
     domain = Domain(sides=(6.0, 6.0), periodic=bool(i % 2))
     grid = SiteGrid(domain=domain, spacing=0.25)
     centers = sample_poisson(domain, 0.6, rng)

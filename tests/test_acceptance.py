@@ -11,7 +11,6 @@ import pytest
 from scipy import integrate
 
 from allocperc.allocation import (
-    TIE,
     PointConfiguration,
     SiteGrid,
     gale_shapley,
@@ -121,9 +120,8 @@ def _coupling_violations(cfg_small, cfg_big, grid):
     d2 = np.full(grid.n_cells, np.inf)
     m2 = a2.assignment >= 0
     d2[m2] = distance(cells[m2], cfg_big.centers[a2.assignment[m2]], grid.domain)
-    ok = (a1.assignment != TIE) & (a2.assignment != TIE)
-    dist_bad = int(np.count_nonzero(d1[ok] < d2[ok] - 1e-9))
-    incl_bad = int(np.count_nonzero(m1 & ok & ~m2))
+    dist_bad = int(np.count_nonzero(d1 < d2 - 1e-9))
+    incl_bad = int(np.count_nonzero(m1 & ~m2))
     return dist_bad + incl_bad
 
 

@@ -157,6 +157,24 @@ def test_least_law_values_that_are_not_refused():
         AppetiteDistribution(family, {**params, name: 5e-324})
 
 
+_DEFAULT_PARAMS = {"constant": {"value": 1.0}, "exponential": {"mean": 1.0},
+                   "pareto": {"scale": 1.0, "index": 3.5}, "lognormal": {"mu": 0.0, "sigma": 1.0}}
+_NAN_FIELDS = {  # field: the law, and the keyword arguments that set the field to NaN
+    "scale": ("exponential", {"scale": math.nan}),
+    "floor": ("exponential", {"floor": math.nan}),
+    "tail_exponent": ("exponential", {"tail_exponent": math.nan}),
+    **{f"{family} {name}": (family, {"params": {**params, name: math.nan}})
+       for family, params in _DEFAULT_PARAMS.items() for name in params},
+}
+
+
+@pytest.mark.parametrize("field", _NAN_FIELDS)
+def test_nan_in_any_field_is_refused(field):
+    family, kwargs = _NAN_FIELDS[field]
+    with pytest.raises(AppetiteConfigError):
+        AppetiteDistribution(family, **{"params": _DEFAULT_PARAMS[family], **kwargs})
+
+
 def test_moment_report_constant():
     dist = AppetiteDistribution("constant", {"value": 2.0}, tail_exponent=1.0)
     rep = moment_report(dist)

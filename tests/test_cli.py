@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import tempfile
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocperc import allocation, cli, validation
+from allocperc import cli, validation
+from allocperc.allocation import PointConfiguration
 from allocperc.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from allocperc.config import ConfigError, parse_config_file, parse_scale_grid, resolve_config
+from allocperc.geometry import replica_rng
 from allocperc.percolation import SweepResult, SweepRow
 
 BASE_CFG = """\
@@ -189,6 +192,30 @@ def test_unwritable_artifact_exits_2_with_one_line(blocked, cfg_file, tmp_path, 
     assert [p.name for p in out.iterdir()] == [blocked]  # nothing written
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-run"])
+def test_a_failed_second_write_leaves_no_new_file(existing, cfg_file, tmp_path, capsys,
+                                                   monkeypatch):
+    out = tmp_path / "runs" / "b"
+    if existing:  # an older run's file stays as it was
+        out.mkdir(parents=True)
+        (out / "poisson_bounds.csv").write_text("old\n")
+    before = sorted(tmp_path.rglob("*"))
+    writes, real = [], Path.write_bytes
+
+    def write_bytes(path, data):
+        writes.append(path)
+        if len(writes) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return real(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    assert main(["bounds", "--config", str(cfg_file), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()  # the progress line, then the error
+    assert len(err) == 2 and err[1].startswith("config error: ") and "No space" in err[1]
+    assert len(writes) == 2 and sorted(tmp_path.rglob("*")) == before
+    assert not existing or (out / "poisson_bounds.csv").read_text() == "old\n"
+
+
 def test_exit_2_run_writes_no_artifact(tmp_path):
     cfg = tmp_path / "c.cfg"  # every radius censored by the window
     cfg.write_text(BASE_CFG + "sides = 2,2\nboundary = open\nfloor = 1\nscale = 5\n")
@@ -271,10 +298,17 @@ def _on_result(fast_path, fault):  # fault applied to the result of a fast path 
     return inject
 
 
-def _no_ties(monkeypatch):  # tie detection switched off, in and past the lists
-    monkeypatch.setattr(allocation, "TIE_REL_TOL", 0.0)
-    monkeypatch.setattr(allocation, "_tied_past_list",
-                        lambda tree, pts, *a: np.zeros(len(pts), dtype=bool))
+def _reversed_index(monkeypatch):  # cells rank equidistant centers by decreasing index
+    original = validation.gale_shapley
+
+    def solve(config, grid):
+        alloc = original(PointConfiguration(config.centers[::-1], config.appetites[::-1]), grid)
+        a = alloc.assignment
+        return dataclasses.replace(alloc, assignment=np.where(a >= 0, config.n_centers - 1 - a, a),
+                                   territory_volumes=alloc.territory_volumes[::-1],
+                                   sated=alloc.sated[::-1])
+
+    monkeypatch.setattr(validation, "gale_shapley", solve)
 
 
 # fault: (its injection, rows that catch it)
@@ -296,7 +330,7 @@ _FAULTS = {
     "build_boolean": (_on_result("build_boolean",
                                  lambda m: dataclasses.replace(m, radii=m.radii * 0.5)),
                       ("ball_union_dominates_claimed_set",)),
-    "tie_detection": (_no_ties, ("assignment_equals_dense_walk",)),
+    "index_tiebreak": (_reversed_index, ("assignment_equals_dense_walk",)),
 }
 
 
@@ -310,6 +344,16 @@ def test_validate_reports_an_injected_fault(fault, cfg_file, tmp_path, monkeypat
     assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_INVARIANT
     failures = {r[0]: int(r[2]) for r in read_csv(out / "validation.csv")[1:]}
     assert all(failures[row] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_index_tiebreak_fault_fails_lattice_and_duplicated_ladders(seed, monkeypatch):
+    _reversed_index(monkeypatch)
+    _, base, n, failed = next(c for c in validation._CHECKS
+                              if c[0] == "assignment_equals_dense_walk")
+    caught = [failed(replica_rng(seed, base + i), i) for i in range(n)]
+    assert any(caught[i] for i in range(n) if i % 4 < 2)  # lattice centers
+    assert any(caught[i] for i in range(n) if i % 4 >= 2)  # duplicated centers
 
 
 def test_sweep_exits_3_when_one_replica_stops_crossing(tmp_path, monkeypatch):
