@@ -147,8 +147,9 @@ def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
 
 class _Lists(SimpleNamespace):
     """Solve state that depends only on (grid, centers), all read-only: cells,
-    and each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
-    prefix) and length plen."""
+    each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
+    prefix) and length plen, and first, the cells with a certified nearest
+    center in (center, distance, cell) order."""
 
 
 def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
@@ -168,26 +169,43 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
 
     nearest_until(kd_tree(centers, grid.domain), cells, centers, grid.domain, store, k=PREF_K)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
-    for a in (cells, nbr, nbr_d, plen):
+    first = _ranked(np.flatnonzero(plen), nbr[:, 0], nbr_d[:, 0], len(centers))
+    for a in (cells, nbr, nbr_d, plen, first):
         a.setflags(write=False)
-    return keep(_Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen), "lists", *key)
+    return keep(_Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen, first=first),
+                "lists", *key)
+
+
+def _ranked(cells, center, dist, n_centers):
+    """cells in (center[cell], dist[cell], cell) order: sorted by cell, then
+    stably by distance, then stably by center in the narrowest unsigned type
+    that holds n_centers, which numpy sorts by radix."""
+    cells = np.sort(cells)
+    cells = cells[np.argsort(dist[cells], kind="stable")]
+    return cells[np.argsort(center[cells].astype(np.min_scalar_type(n_centers)), kind="stable")]
 
 
 def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult:
     """Stable assignment by site-proposing deferred acceptance.
 
-    Each round every unassigned cell applies to its first center that has
-    not rejected it; each center keeps its first applicants up to its quota
-    and rejects the rest. Cells rejected everywhere end UNCLAIMED.
+    Each round every center that got an applicant keeps its first applicants
+    and held cells up to its quota and rejects the rest; each rejected cell
+    then applies to its first center that has not rejected it. Cells
+    rejected everywhere end UNCLAIMED.
 
     Cells rank centers by (distance, center index) and centers rank cells by
     (distance, cell index): both are restrictions of the strict order
     (distance, cell, center) on pairs, so the stable assignment is unique and
-    any order of proposals reaches it, ties of distance or not. A cell's next
+    any order of proposals reaches it, ties of distance or not. The solver
+    uses that freedom. Round 1 is each cell at its nearest center, taken
+    ranked from the memo (_Lists.first); a cell whose nearest center has a
+    zero quota or is not certified applies from round 2. A cell's next
     candidate is the first center after its last rejection that holds it
     within its cutoff, taken from the certified prefix of its kd-tree list of
-    PREF_K nearest centers, or past it by one exact jump (_next_key). Only
-    the centers that receive an applicant re-rank their cells, and no
+    PREF_K nearest centers. A cell with none there waits, and the waiting
+    cells jump past their lists together (_next_key), in a round where no
+    listed cell applies, so that listed cells fill the open centers first.
+    Only the centers that receive an applicant re-rank their cells, and no
     (cells x centers) array is built.
     """
     n_cells = grid.n_cells
@@ -219,55 +237,59 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     # A center is full exactly when its cutoff is finite: -inf at a zero
     # quota, its worst held distance once full, inf while open. A full center
     # never again accepts strictly beyond its cutoff; cutoffs only shrink, so
-    # skipping on them is safe.
+    # skipping on them is safe, and a waiting cell stays past its list.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
 
-    active = np.arange(n_cells)  # cells held nowhere and undecided
+    pool = lists.first[quota[nbr[lists.first, 0]] > 0]  # round 1, ranked
+    cand[pool], dcand[pool] = nbr[pool, 0], nbr_d[pool, 0]
+    active = np.flatnonzero(np.bincount(pool, minlength=n_cells) == 0)  # apply next
+    waiting = active[:0]  # cells past their list, held nowhere
     max_rounds = 10 * max(n_cells, 1)
     for rounds in range(1, max_rounds + 1):
-        # Each cell applies to the first center after its last rejection that
-        # would not reject it: from its certified list, else by a jump.
-        w = max(int(plen[active].max()), 1)  # later columns hold only inf
-        c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
-                                cand[active], cutoff)
-        listed = c >= 0
-        cand[active[listed]], dcand[active[listed]] = c[listed], dc[listed]
-        past = active[~listed]
-        if past.size:
-            c, dc = _next_key(cells[past], dcand[past], cand[past], centers, domain, cutoff)
-            found = c >= 0  # a cell no center would take stays UNCLAIMED
-            past = past[found]
-            cand[past], dcand[past] = c[found], dc[found]
-            jumped[past] = True
-        applicants = np.r_[active[listed], past]
-        if applicants.size == 0:
-            break
-
-        # Each center that got an applicant ranks its held cells and new
-        # applicants by (distance, cell) and keeps the quota first; no other
-        # group changes.
-        touched = np.zeros(n_centers, dtype=bool)
-        touched[cand[applicants]] = True
-        claimed = np.flatnonzero(status >= 0)
-        pool = np.r_[applicants, claimed[touched[status[claimed]]]]
-        pool = pool[np.lexsort((pool, dcand[pool], cand[pool]))]
+        # Each center in the pool, ranked by (center, distance, cell), keeps
+        # its quota first; no other group changes.
         gc = cand[pool]
-        new = np.r_[True, gc[1:] != gc[:-1]]
+        new = np.diff(gc, prepend=-1) != 0
         starts = np.flatnonzero(new)
         rank = np.arange(pool.size) - starts[np.cumsum(new) - 1]
         keep = rank < quota[gc]
         status[pool[keep]] = gc[keep]
-        active = pool[~keep]
+        active = np.r_[active, pool[~keep]]
         status[active] = UNCLAIMED
 
-        # Group sizes / new cutoffs for the next round's candidates.
+        # Group sizes / new cutoffs for the next candidates.
         heads = gc[starts]
         sizes = np.diff(np.r_[starts, pool.size])
         worst = dcand[pool[starts + np.minimum(sizes, quota[heads]) - 1]]
         cutoff[heads] = np.where(sizes >= quota[heads], worst, np.inf)
 
+        # Each rejected cell applies to the first center after its last
+        # rejection that would not reject it, from its certified list, or
+        # else waits; once no listed cell applies, the waiting cells jump.
+        if active.size:
+            w = max(int(plen[active].max()), 1)  # later columns hold only inf
+            c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
+                                    cand[active], cutoff)
+            listed = c >= 0
+            waiting = np.r_[waiting, active[~listed]]
+            active = active[listed]
+            cand[active], dcand[active] = c[listed], dc[listed]
+        if active.size == 0 and waiting.size:
+            c, dc = _next_key(cells[waiting], dcand[waiting], cand[waiting], centers, domain,
+                              cutoff)
+            found = c >= 0  # a cell no center would take stays UNCLAIMED
+            active, waiting = waiting[found], waiting[:0]
+            cand[active], dcand[active] = c[found], dc[found]
+            jumped[active] = True
         if active.size == 0:
             break
+
+        # The next pool: the applicants and the cells their centers hold.
+        touched = np.zeros(n_centers, dtype=bool)
+        touched[cand[active]] = True
+        claimed = np.flatnonzero(status >= 0)
+        pool = _ranked(np.r_[active, claimed[touched[status[claimed]]]], cand, dcand, n_centers)
+        active = active[:0]
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
 
@@ -375,9 +397,15 @@ def verify_stability(
         x = np.arange(s, min(s + step, len(cells)))[:, None]
         dist = distance(cells[x], centers[None], domain)
         mine = own[x]
-        desires = (dist < mine) | ((dist == mine) & (index < assign[x]))
-        covets = ~sated | (dist < farthest) | ((dist == farthest) & (x < far_cell))
-        unstable = desires & covets
+        tie = np.equal(dist, mine)  # one buffer for both equality terms
+        tie &= index < assign[x]
+        desires = dist < mine
+        desires |= tie
+        covets = np.equal(dist, farthest, out=tie)
+        covets &= x < far_cell
+        covets |= dist < farthest
+        covets |= ~sated
+        unstable = np.logical_and(desires, covets, out=desires)
         if unstable.any():  # a stable solve's blocks hold none; argwhere would scan each
             pairs.extend(tuple(p) for p in np.argwhere(unstable) + (s, 0))
     return pairs

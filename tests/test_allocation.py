@@ -317,6 +317,95 @@ def test_first_eligible_takes_the_next_key_in_distance_index_order():
     assert [g.tolist() for g in got] == [[2, 3, 0, -1], [1.0, 1.5, 1.0, np.inf]]
 
 
+@pytest.mark.parametrize("n_cells,n_centers", [(0, 3), (1, 1), (600, 7), (3000, 300),
+                                               (2000, 70_000)])
+def test_ranked_is_the_lexsort_by_center_distance_cell(n_cells, n_centers):
+    # few distinct distances, so most cells of a center tie; past 65 535
+    # centers the center keys sort as uint32
+    rng = replica_rng(41, n_cells)
+    size = n_cells + 50
+    center = rng.integers(0, n_centers, size)
+    dist = rng.integers(0, 4, size) * 0.5
+    cells = rng.permutation(size)[:n_cells]
+    want = cells[np.lexsort((cells, dist[cells], center[cells]))]
+    assert np.array_equal(allocation._ranked(cells, center, dist, n_centers), want)
+    assert n_centers < 65_536 or np.min_scalar_type(n_centers) == np.uint32
+
+
+def test_jumps_wait_for_a_round_without_listed_applicants(monkeypatch):
+    # a round's calls end at its ranking (_ranked); a round in which
+    # _first_eligible finds a listed applicant makes no _next_key call
+    events = []
+    real_first, real_next, real_ranked = (allocation._first_eligible, allocation._next_key,
+                                          allocation._ranked)
+
+    def first_eligible(*args):
+        c, d = real_first(*args)
+        events.append(("listed", bool(np.any(c >= 0)), bool(np.any(c < 0))))
+        return c, d
+
+    def next_key(*args):
+        events.append(("jump",))
+        return real_next(*args)
+
+    def ranked(*args):
+        events.append(("rank",))
+        return real_ranked(*args)
+
+    monkeypatch.setattr(allocation, "_first_eligible", first_eligible)
+    monkeypatch.setattr(allocation, "_next_key", next_key)
+    monkeypatch.setattr(allocation, "_ranked", ranked)
+    dom = Domain(sides=(12.0, 12.0), periodic=True)
+    grid = SiteGrid(domain=dom, spacing=0.25)
+    config = sample_replica(dom, 1.0, AppetiteDistribution("exponential", {"mean": 1.0},
+                                                           scale=0.5), 5, 0)
+    alloc = assert_matches_dense(config, grid)
+    assert alloc.counters["beyond_list"] > 0
+    rounds, now = [], []
+    for e in events:
+        if e == ("rank",):
+            rounds.append(now)
+            now = []
+        else:
+            now.append(e)
+    rounds.append(now)
+    for calls in rounds:
+        assert not (("jump",) in calls and any(e[0] == "listed" and e[1] for e in calls))
+    # some cells waited past their list while others applied from theirs
+    assert any(e[0] == "listed" and e[1] and e[2] for e in events)
+
+
+def _hand_round_one(case):
+    if case == "nearest quota 0":  # cells 0 and 1 are nearest the empty center
+        dom = Domain(sides=(4.0,), periodic=False)
+        return SiteGrid(domain=dom, spacing=1.0), np.array([[0.5], [3.5]]), [0, 3], 2
+    if case == "no certified first entry":  # each cell ties between 4 corners
+        dom = Domain(sides=(4.0, 4.0), periodic=False)
+        return SiteGrid(domain=dom, spacing=1.0), lattice(2, 5.0, 1.0), [1] * 25, 1
+    dom = Domain(sides=(3.0, 3.0), periodic=True)  # every quota 0
+    return SiteGrid(domain=dom, spacing=0.5), lattice(2, 3.0, 1.0, 0.2), [0] * 9, 8
+
+
+@pytest.mark.parametrize("case", ["nearest quota 0", "no certified first entry",
+                                  "every quota 0"])
+def test_round_one_hand_cases_match_dense(monkeypatch, case):
+    # cells outside the round-1 pool apply from round 2; the pool may be empty
+    grid, centers, quotas, k = _hand_round_one(case)
+    monkeypatch.setattr(allocation, "PREF_K", k)
+    config = PointConfiguration(centers, np.asarray(quotas) * grid.cell_volume)
+    alloc = assert_matches_dense(config, grid)
+    assert np.array_equal(alloc.assignment, greedy_pass(config, grid))
+    lists = allocation._lists(config.centers, grid)
+    pool = lists.first[allocation.cell_quotas(config.appetites, grid.cell_volume)[
+        lists.nbr[lists.first, 0]] > 0]
+    if case == "nearest quota 0":
+        assert lists.first.tolist() == [0, 1, 3, 2] and pool.tolist() == [3, 2]
+        assert alloc.assignment.tolist() == [UNCLAIMED, 1, 1, 1]
+    else:
+        assert pool.size == 0
+        assert np.all(alloc.assignment == UNCLAIMED) == (case == "every quota 0")
+
+
 def _jump_states(case):
     """Points, centers, domain and a (full, cutoff) state for _next_key, with
     the dense distances."""
@@ -465,9 +554,11 @@ def test_critical_scale_resolves_past_the_list():
 @pytest.mark.parametrize("block", [geometry.BLOCK, 40])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_jumps_with_ties_match_dense(monkeypatch, block, periodic):
-    # a 3-D lattice with small quotas: at the shipped depth some cells jump
-    # past their list and some owners win by index; a block of 40 pairs
-    # builds lists and jumps in many blocks
+    # a 3-D lattice with small quotas where some owners win by index, solved
+    # at the shipped depth and at PREF_K 2. At the shipped depth the jumps,
+    # deferred until no listed cell applies, come once every center is full;
+    # at PREF_K 2 hundreds of cells find a center past their list. A block
+    # of 40 pairs builds lists and jumps in many blocks
     monkeypatch.setattr(geometry, "BLOCK", block)
     dom = Domain(sides=(4.0,) * 3, periodic=periodic)
     grid = SiteGrid(domain=dom, spacing=0.5)
@@ -476,10 +567,12 @@ def test_jumps_with_ties_match_dense(monkeypatch, block, periodic):
     centers = centers[rng.random(len(centers)) < 0.8]
     appetites = rng.integers(0, 6, size=len(centers)) * grid.cell_volume
     config = PointConfiguration(centers, appetites)
-    alloc = assert_matches_dense(config, grid)
+    for k in (allocation.PREF_K, 2):
+        monkeypatch.setattr(allocation, "PREF_K", k)
+        alloc = assert_matches_dense(config, grid)
+        assert np.array_equal(alloc.assignment, greedy_pass(config, grid))
+        assert tied_owners(alloc, config, grid)
     assert alloc.counters["beyond_list"] > 0
-    assert np.array_equal(alloc.assignment, greedy_pass(config, grid))
-    assert tied_owners(alloc, config, grid)
 
 
 @pytest.mark.parametrize("dim,side,spacing,centers", [
