@@ -63,17 +63,16 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
     return connected_components(graph, directed=False)[1].astype(np.int64)
 
 
-def _census(n: int, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic: bool,
-            origin: int, reach, diameter) -> ClusterReport:
-    """The report of n nodes joined by (m, 2) edges.
+def _census(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic: bool,
+            oc: int, reach, diameter) -> ClusterReport:
+    """The report of n nodes with component labels numbered from 0.
 
     lo and hi are (n, d) flags of the nodes touching the low and high wall of
     each axis; a component crosses an axis when it holds one of each. On a
-    torus nothing crosses, since wrap adjacency leaves no walls. origin is
-    the node holding the origin, or -1; reach and diameter map the members
-    of its component to their measures.
+    torus nothing crosses, since wrap adjacency leaves no walls. oc is the
+    component holding the origin, or -1; reach and diameter map the members
+    of that component to their measures.
     """
-    labels = _components(n, edges)
     k = int(labels.max(initial=-1)) + 1
     if periodic:
         crossing = np.zeros((k, lo.shape[1]), dtype=bool)
@@ -81,12 +80,11 @@ def _census(n: int, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic:
         crossing = np.stack([(np.bincount(labels[lo[:, ax]], minlength=k) > 0)
                              & (np.bincount(labels[hi[:, ax]], minlength=k) > 0)
                              for ax in range(lo.shape[1])], axis=1)
-    if origin >= 0:
-        oc = int(labels[origin])
+    if oc >= 0:
         member = np.flatnonzero(labels == oc)
         max_reach, diam = reach(member), diameter(member)
     else:
-        oc, max_reach, diam = -1, 0.0, 0.0
+        max_reach, diam = 0.0, 0.0
     return ClusterReport(labels=labels, component_sizes=np.bincount(labels, minlength=k),
                          crossing_axes=crossing, origin_component=oc,
                          max_origin_distance=max_reach, diameter=diam)
@@ -128,33 +126,35 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
                           + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
                    for s in range(0, sub.size, step))
 
-    return _census(model.n_balls, edges, centers - r <= 0.0,
+    labels = _components(model.n_balls, edges)
+    return _census(labels, centers - r <= 0.0,
                    centers + r >= np.asarray(domain.sides), domain.periodic,
-                   int(np.argmax(covering)) if covering.any() else -1,
+                   int(labels[np.argmax(covering)]) if covering.any() else -1,
                    lambda sub: float(np.max(d_origin[sub] + radii[sub])), diameter)
 
 
 def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     """Face-adjacency components of a boolean cell mask over the grid."""
     shape, h, d = grid.shape, grid.spacing, grid.domain.dim
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if flat.size != grid.n_cells:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.size != grid.n_cells:
         raise PercolationError("mask size does not match grid")
-    on = np.flatnonzero(flat)
-    # Face edges between masked cells: each cell and its successor along an
-    # axis, both numbered in the index grid (-1 off the mask); an open box
-    # drops the last slice, which has no successor.
-    idx = np.full(flat.size, -1, dtype=np.int64)
-    idx[on] = np.arange(on.size)
-    grid_idx = idx.reshape(shape)
-    edges = []
-    for ax in range(d):
-        a, b = grid_idx, np.roll(grid_idx, -1, axis=ax)
-        if not grid.domain.periodic:
-            cut = (slice(None),) * ax + (slice(0, -1),)
-            a, b = a[cut], b[cut]
-        both = (a >= 0) & (b >= 0)
-        edges.append(np.stack([a[both], b[both]], axis=1))
+    # Imported here: scipy.ndimage adds ~50 ms to `import allocperc`, and
+    # allocate, boolean and bounds never label a mask.
+    from scipy.ndimage import label
+    # The lattice labeller numbers the components of the open box from 1 in
+    # order of first cell (0 off the mask); shifted to start at 0, -1 off it.
+    lab = np.empty(shape, dtype=np.int64)
+    k = label(mask.reshape(shape), output=lab)
+    lab -= 1
+    if grid.domain.periodic:
+        # On a torus the labels facing each other across a wrapped face join;
+        # _components keeps the order of first label, hence of first cell.
+        seam = np.concatenate([np.stack([np.take(lab, 0, ax), np.take(lab, -1, ax)],
+                                        axis=-1).reshape(-1, 2) for ax in range(d)])
+        lab = np.append(_components(k, seam[(seam >= 0).all(axis=1)]), -1)[lab]
+    labels = lab.ravel()
+    on = np.flatnonzero(labels >= 0)
     multi = np.stack(np.unravel_index(on, shape), axis=1)
     # the cell holding the origin (the box center in open mode, the corner on a torus)
     origin = palm_origin(grid.domain)
@@ -164,12 +164,10 @@ def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
         dorig = distance(origin[None, :], (multi[member] + 0.5) * h, grid.domain)
         return float(dorig.max() + h * math.sqrt(d) / 2)
 
-    report = _census(on.size, np.concatenate(edges), multi == 0,
-                     multi == np.asarray(shape) - 1, grid.domain.periodic,
-                     int(idx[np.ravel_multi_index(tuple(home), shape)]), reach,
+    report = _census(labels[on], multi == 0, multi == np.asarray(shape) - 1,
+                     grid.domain.periodic, int(lab[tuple(home)]), reach,
                      lambda member: _component_diameter(multi[member], grid))
-    idx[on] = report.labels
-    return replace(report, labels=idx)
+    return replace(report, labels=labels)
 
 
 def _component_diameter(cells: np.ndarray, grid: SiteGrid) -> float:

@@ -340,13 +340,57 @@ def test_grid_all_and_none_claimed():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mask_components_match_floodfill(seed):
-    dom = Domain(sides=(8.0, 8.0), periodic=bool(seed % 2))
-    grid = SiteGrid(domain=dom, spacing=0.25)
-    mask = replica_rng(seed + 50).random(grid.shape) < 0.55
-    fast = mask_components(mask, grid).labels.reshape(grid.shape)
-    slow = floodfill_mask_oracle(mask, dom.periodic)
-    on = mask.ravel()
-    assert same_partition(fast.ravel()[on], slow.ravel()[on])
+    # the labels are the flood fill's, numbered in order of first cell, -1 off
+    # the mask; d = 1, 2 and 3 with some axes of one and two cells
+    periodic = bool(seed % 2)
+    rng = replica_rng(seed + 50)
+    for shape in [(40,), (1,), (2,), (32, 32), (1, 17), (2, 9), (13, 2),
+                  (9, 7, 5), (1, 6, 2), (2, 1, 11)]:
+        grid = SiteGrid(domain=Domain(sides=tuple(0.25 * n for n in shape),
+                                      periodic=periodic), spacing=0.25)
+        mask = rng.random(shape) < 0.55
+        labels = mask_components(mask, grid).labels
+        assert labels.dtype == np.int64 and labels.shape == (mask.size,)
+        assert np.array_equal(labels, floodfill_mask_oracle(mask, periodic).ravel())
+
+
+@pytest.mark.parametrize("d, ax", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_mask_components_join_across_wrapped_faces(d, ax):
+    # a band along axis ax whose halves meet only across its wrapped face
+    shape = (6,) * d
+    mask = np.zeros(shape, dtype=bool)
+    band = [slice(2, 4)] * d
+    band[ax] = slice(None)
+    mask[tuple(band)] = True
+    mask[(slice(None),) * ax + (3,)] = False
+    for periodic, want in [(False, 2), (True, 1)]:
+        grid = SiteGrid(domain=Domain(sides=(6.0,) * d, periodic=periodic), spacing=1.0)
+        report = mask_components(mask, grid)
+        assert report.n_components == want
+        assert np.array_equal(report.labels, floodfill_mask_oracle(mask, periodic).ravel())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_number_in_order_of_first_member(seed):
+    # shuffled, flipped and duplicated edges give the labels of a union-find
+    # renumbered in order of each component's first member
+    rng = replica_rng(seed + 90)
+    n = 80
+    edges = rng.integers(0, n, size=(50, 2))
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in edges.tolist():
+        parent[root(i)] = root(j)
+    first = {}
+    want = [first.setdefault(root(i), len(first)) for i in range(n)]
+    edges = np.concatenate([edges, edges[:, ::-1], edges[:20]])[rng.permutation(120)]
+    labels = percolation._components(n, edges)
+    assert labels.dtype == np.int64 and labels.tolist() == want
 
 
 def test_crossing_flags_on_a_strip():
