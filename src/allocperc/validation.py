@@ -96,124 +96,41 @@ def bfs_ball_components_oracle(centers: np.ndarray, radii: np.ndarray,
 
 
 def dense_gale_shapley(config, grid):
-    """Deferred acceptance over full dense preference rows, one (cells x
-    centers) distance matrix and its argsort. It shares no solver code with
-    gale_shapley, whose assignment it must equal.
+    """Textbook deferred acceptance over full dense preference rows, one
+    (cells x centers) distance matrix and its stable argsort. It shares no
+    solver code with gale_shapley, whose assignment it must equal.
 
-    Each round every unassigned cell applies to its first center in
-    (distance, index) order that has not rejected it; each center keeps its
-    first applicants in (distance, cell index) order up to its quota and
-    rejects the rest. Cells rejected everywhere end UNCLAIMED.
+    Each round every cell not yet rejected everywhere applies to the center at
+    its row pointer; each center keeps its first applicants, held and new
+    together, in (distance, cell index) order up to its quota and rejects the
+    rest. A rejected cell moves one entry down its row and skips nothing; a
+    cell rejected by every center ends UNCLAIMED. Every round but the last
+    moves some pointer, so at most n_cells * n_centers + 1 rounds run.
     """
-    n_cells = grid.n_cells
-    n_centers = config.n_centers
-    status = np.full(n_cells, -3, dtype=np.int64)  # -3: not held
-    if n_centers == 0:
-        status[:] = UNCLAIMED
-        return AllocationResult(
-            assignment=status,
-            territory_volumes=np.zeros(0),
-            sated=np.ones(0, dtype=bool),
-            grid_shape=grid.shape,
-        )
-
-    cells = grid.cell_centers()
-    dist = distance(cells[:, None], config.centers[None], grid.domain)
+    n_cells, n_centers = grid.n_cells, config.n_centers
+    dist = distance(grid.cell_centers()[:, None], config.centers[None], grid.domain)
     pref = np.argsort(dist, axis=1, kind="stable")
-    sdist = np.take_along_axis(dist, pref, axis=1)
-    del dist
-
-    hd = grid.cell_volume
-    quota = cell_quotas(config.appetites, hd)
-
-    ptr = np.zeros(n_cells, dtype=np.int64)  # index into pref of current candidate
-    held = np.zeros(n_cells, dtype=bool)
-    decided = np.zeros(n_cells, dtype=bool)  # UNCLAIMED, final
-    # A full center never again accepts strictly beyond its current worst
-    # held distance; cutoffs only shrink, so skipping on them is safe.
-    cutoff = np.where(quota == 0, -np.inf, np.inf)
-    full = quota == 0
-
-    cell_idx = np.arange(n_cells)
-    max_rounds = 10 * max(n_cells, 1)
-    for _ in range(max_rounds):
-        active = cell_idx[~decided & ~held]
-        if active.size == 0:
-            break
-
-        # Fast-forward past centers certain to reject; each cell is touched
-        # once per skipped candidate, not once per loop pass.
-        settled = []
-        work = active
-        while work.size:
-            cand = pref[work, ptr[work]]
-            dcand = sdist[work, ptr[work]]
-            skip = full[cand] & (dcand > cutoff[cand])
-            settled.append(work[~skip])
-            bumped = work[skip]
-            ptr[bumped] += 1
-            alive = ptr[bumped] < n_centers
-            exhausted = bumped[~alive]
-            status[exhausted] = UNCLAIMED
-            decided[exhausted] = True
-            work = bumped[alive]
-        applicants = np.concatenate(settled) if settled else active
-
-        pool = np.concatenate([applicants, cell_idx[held & ~decided]])
-        pool = np.unique(pool)
-        if pool.size == 0:
-            remaining = cell_idx[~decided & ~held]
-            status[remaining] = UNCLAIMED
-            decided[remaining] = True
-            break
-
+    quota = cell_quotas(config.appetites, grid.cell_volume)
+    ptr = np.zeros(n_cells, dtype=np.int64)
+    for _ in range(n_cells * n_centers + 1):
+        pool = np.flatnonzero(ptr < n_centers)
         cand = pref[pool, ptr[pool]]
-        dcand = sdist[pool, ptr[pool]]
-
-        # Dense pool: every undecided cell's candidate center ranks it among
-        # held + new applicants; keep the quota nearest.
-        order = np.lexsort((pool, dcand, cand))
-        gc = cand[order]
-        starts = np.flatnonzero(np.r_[True, gc[1:] != gc[:-1]])
-        group_of = np.cumsum(np.r_[True, gc[1:] != gc[:-1]]) - 1
-        rank = np.arange(len(order)) - starts[group_of]
-        keep = rank < quota[gc]
-
-        kept_cells = pool[order[keep]]
-        rej_cells = pool[order[~keep]]
-        held[kept_cells] = True
-        held[rej_cells] = False
-        ptr[rej_cells] += 1
-        exhausted = rej_cells[ptr[rej_cells] >= n_centers]
-        status[exhausted] = UNCLAIMED
-        decided[exhausted] = True
-
-        # Group sizes / new cutoffs for the fast-forward phase.
-        sizes = np.diff(np.r_[starts, len(order)])
-        heads = gc[starts]
-        grp_full = sizes >= quota[heads]
-        full[heads] = grp_full
-        kept_d = dcand[order[keep]]
-        kept_c = gc[keep]
-        if kept_c.size:
-            kstarts = np.flatnonzero(np.r_[True, kept_c[1:] != kept_c[:-1]])
-            kends = np.r_[kstarts[1:], len(kept_c)] - 1
-            worst = kept_d[kends]
-            kheads = kept_c[kstarts]
-            cutoff[kheads] = np.where(full[kheads], worst, np.inf)
-
-        if rej_cells.size == 0 and not np.any(~decided & ~held):
+        order = np.lexsort((pool, dist[pool, cand], cand))
+        by_center = cand[order]
+        rank = np.arange(order.size) - np.searchsorted(by_center, by_center)
+        rejected = pool[order[rank >= quota[by_center]]]
+        if rejected.size == 0:
             break
+        ptr[rejected] += 1
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")
 
-    held_cells = cell_idx[held]
-    status[held_cells] = pref[held_cells, ptr[held_cells]]
-
-    counts = np.bincount(status[status >= 0], minlength=n_centers)
-    volumes = counts * hd
+    # The last round rejected no cell, so each pool cell holds its candidate.
+    status = np.full(n_cells, UNCLAIMED, dtype=np.int64)
+    status[pool] = cand
+    volumes = np.bincount(cand, minlength=n_centers) * grid.cell_volume
     # Satedness tolerant to one-cell quantization of the last shell.
-    sated = volumes >= config.appetites - hd
+    sated = volumes >= config.appetites - grid.cell_volume
     return AllocationResult(
         assignment=status,
         territory_volumes=volumes,

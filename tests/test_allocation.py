@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import weakref
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocperc import allocation, geometry
+from allocperc import allocation, geometry, validation
 from allocperc.allocation import (
     UNCLAIMED,
     AllocationResult,
@@ -43,7 +45,7 @@ def test_no_centers_all_unclaimed():
     dom = Domain(sides=(4.0, 4.0), periodic=True)
     grid = SiteGrid(domain=dom, spacing=0.5)
     config = PointConfiguration(np.zeros((0, 2)), np.zeros(0))
-    alloc = gale_shapley(config, grid)
+    alloc = assert_matches_dense(config, grid)
     assert np.all(alloc.assignment == UNCLAIMED)
     diag = phase_diagnostics(alloc, config, grid)
     assert diag.claimed_volume_fraction == 0.0
@@ -221,6 +223,15 @@ def assert_matches_dense(config, grid):
     return fast
 
 
+def test_dense_walk_names_no_solver_code():
+    # the oracle may share the metric and the result type, never the solver
+    tree = ast.parse(inspect.getsource(validation.dense_gale_shapley))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"gale_shapley", "_lists", "_ranked", "_first_eligible", "_next_key",
+                        "kd_tree", "nearest", "nearest_until", "within", "kept", "keep"}
+
+
 def greedy_pass(config, grid):
     """The stable assignment as one pass over the (cell, center) pairs in
     (distance, cell, center) order: a pair is kept when its cell is still
@@ -382,12 +393,15 @@ def _hand_round_one(case):
     if case == "no certified first entry":  # each cell ties between 4 corners
         dom = Domain(sides=(4.0, 4.0), periodic=False)
         return SiteGrid(domain=dom, spacing=1.0), lattice(2, 5.0, 1.0), [1] * 25, 1
+    if case == "more centers than cells":  # both cells walk past their empty nearest
+        dom = Domain(sides=(2.0,), periodic=False)
+        return SiteGrid(domain=dom, spacing=1.0), np.array([[0.5], [1.5], [1.0]]), [0, 0, 1], 2
     dom = Domain(sides=(3.0, 3.0), periodic=True)  # every quota 0
     return SiteGrid(domain=dom, spacing=0.5), lattice(2, 3.0, 1.0, 0.2), [0] * 9, 8
 
 
 @pytest.mark.parametrize("case", ["nearest quota 0", "no certified first entry",
-                                  "every quota 0"])
+                                  "more centers than cells", "every quota 0"])
 def test_round_one_hand_cases_match_dense(monkeypatch, case):
     # cells outside the round-1 pool apply from round 2; the pool may be empty
     grid, centers, quotas, k = _hand_round_one(case)
@@ -401,6 +415,8 @@ def test_round_one_hand_cases_match_dense(monkeypatch, case):
     if case == "nearest quota 0":
         assert lists.first.tolist() == [0, 1, 3, 2] and pool.tolist() == [3, 2]
         assert alloc.assignment.tolist() == [UNCLAIMED, 1, 1, 1]
+    elif case == "more centers than cells":  # cell 1 loses the tie, then walks off its row
+        assert pool.size == 0 and alloc.assignment.tolist() == [2, UNCLAIMED]
     else:
         assert pool.size == 0
         assert np.all(alloc.assignment == UNCLAIMED) == (case == "every quota 0")
