@@ -31,6 +31,7 @@ from .geometry import (
 UNCLAIMED = -1
 
 PREF_K = 8  # nearest centers listed per cell
+_LEAF = 16  # cKDTree's default leafsize: _next_key scans up to this many open centers densely
 
 
 class AllocationError(RuntimeError):
@@ -265,7 +266,10 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
 
         # Each rejected cell applies to the first center after its last
         # rejection that would not reject it, from its certified list, or
-        # else waits; once no listed cell applies, the waiting cells jump.
+        # else waits; once no listed cell applies, the waiting cells jump. A
+        # cell that jumped is past its list for good, so it waits at once.
+        past = jumped[active]
+        waiting, active = np.r_[waiting, active[past]], active[~past]
         if active.size:
             w = max(int(plen[active].max()), 1)  # later columns hold only inf
             c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
@@ -275,8 +279,15 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             active = active[listed]
             cand[active], dcand[active] = c[listed], dc[listed]
         if active.size == 0 and waiting.size:
-            c, dc = _next_key(cells[waiting], dcand[waiting], cand[waiting], centers, domain,
-                              cutoff)
+            # Every listed center after a waiting cell's key failed its
+            # cutoff, so the search starts at the later of that key and the
+            # cell's last certified entry.
+            lo_d, lo_c = dcand[waiting], cand[waiting]
+            last = plen[waiting] - 1
+            ld, lc = nbr_d[waiting, last], nbr[waiting, last]
+            later = (last >= 0) & ((ld > lo_d) | ((ld == lo_d) & (lc > lo_c)))
+            c, dc = _next_key(cells[waiting], np.where(later, ld, lo_d),
+                              np.where(later, lc, lo_c), centers, domain, cutoff)
             found = c >= 0  # a cell no center would take stays UNCLAIMED
             active, waiting = waiting[found], waiting[:0]
             cand[active], dcand[active] = c[found], dc[found]
@@ -330,10 +341,12 @@ def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
     A cell is rejected only by a full center and skips only full ones, and a
     full center stays full, so every center at or before its key is full.
     The answer is then the smaller key of (A) the nearest center not full:
-    the first entry of its geometry.nearest_until row over those centers,
-    settled once that entry is finite (below the row's bound); and (B) the
-    nearest full center whose cutoff ball (geometry.within, over a kd-tree of
-    the points) holds the point at a key after (lo_d, lo_c).
+    the argmin of its dense distance row when at most _LEAF centers are open,
+    else the first entry of its geometry.nearest_until row over them, settled
+    once that entry is finite (below the row's bound); and (B) the nearest
+    full center whose cutoff ball (geometry.within, over a kd-tree of only
+    the points whose key distance is within the largest such cutoff) holds
+    the point at a key after (lo_d, lo_c).
     """
     best_c = np.full(len(pts), -1, dtype=np.int64)
     best_d = np.full(len(pts), np.inf)
@@ -344,15 +357,24 @@ def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
         best_c[rows[done]], best_d[rows[done]] = open_[nbr[done, 0]], d[done, 0]
         return done
 
-    if open_.size:
-        nearest_until(kd_tree(centers[open_], domain), pts, centers[open_], domain, first)
+    others = centers[open_]
+    if open_.size > _LEAF:
+        nearest_until(kd_tree(others, domain), pts, others, domain, first)
+    elif open_.size:  # columns in index order: argmin takes the lower index of a tie
+        step = max(1, geometry.BLOCK // open_.size)
+        for s in range(0, len(pts), step):
+            d = distance(pts[s:s + step, None], others[None], domain)
+            j = np.argmin(d, axis=1)
+            best_c[s:s + step], best_d[s:s + step] = open_[j], d[np.arange(len(j)), j]
 
     # Only a cutoff at or past some point's key can hold that point after it.
     g = np.flatnonzero((cutoff < np.inf) & (cutoff >= max(lo_d.min(), 0.0)))
     if g.size == 0:
         return best_c, best_d
-    for i, p, d in within(kd_tree(pts, domain), centers[g], cutoff[g], pts, domain):
-        c = g[i]
+    q = np.flatnonzero(lo_d <= cutoff[g].max())  # the points some ball may hold
+    near = pts[q]
+    for i, p, d in within(kd_tree(near, domain), centers[g], cutoff[g], near, domain):
+        c, p = g[i], q[p]
         ok = (d > lo_d[p]) | ((d == lo_d[p]) & (c > lo_c[p]))
         o = np.flatnonzero(ok)
         o = o[np.lexsort((c[o], d[o], p[o]))]

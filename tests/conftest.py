@@ -2,6 +2,8 @@ import pytest
 
 from allocperc import geometry
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(autouse=True)
 def cold_memos():

@@ -426,9 +426,10 @@ def _jump_states(case):
     """Points, centers, domain and a (full, cutoff) state for _next_key, with
     the dense distances."""
     rng = replica_rng(13, len(case))
-    if case == "ties":  # points equidistant from 2 or 4 lattice centers
-        dom = Domain(sides=(4.0, 4.0), periodic=True)
-        centers, pts = lattice(2, 4.0, 1.0), lattice(2, 4.0, 0.5)
+    if case in ("ties", "many ties"):  # points equidistant from 2 or 4 lattice centers
+        side = 4.0 if case == "ties" else 8.0
+        dom = Domain(sides=(side, side), periodic=True)
+        centers, pts = lattice(2, side, 1.0), lattice(2, side, 0.5)
     elif case == "duplicates":  # some centers twice, some three times
         dom = Domain(sides=(4.0, 4.0), periodic=False)
         centers = rng.random((12, 2)) * 4.0
@@ -463,15 +464,42 @@ def _jump_states(case):
 
 
 @pytest.mark.parametrize("block", [geometry.BLOCK, 5])
-@pytest.mark.parametrize("case", ["ties", "duplicates", "near ties", "at L", "none eligible"])
+@pytest.mark.parametrize("case", ["ties", "many ties", "duplicates", "near ties", "at L",
+                                  "none eligible", "past every cutoff"])
 def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block, case):
+    # path: how part (A) finds the nearest open center, by a dense scan of at
+    # most _LEAF open centers or by kd-tree rows; None when no center is open
+    path = {"many ties": "kd", "near ties": "kd", "none eligible": None}.get(case, "dense")
     monkeypatch.setattr(geometry, "BLOCK", block)
+    paths, trees = set(), []
+    real_distance, real_nearest_until, real_kd_tree = (
+        allocation.distance, allocation.nearest_until, allocation.kd_tree)
+
+    def dense(*args):
+        paths.add("dense")
+        return real_distance(*args)
+
+    def kd(*args):
+        paths.add("kd")
+        return real_nearest_until(*args)
+
+    def kd_tree(points, domain):
+        trees.append(points)
+        return real_kd_tree(points, domain)
+
+    monkeypatch.setattr(allocation, "distance", dense)
+    monkeypatch.setattr(allocation, "nearest_until", kd)
+    monkeypatch.setattr(allocation, "kd_tree", kd_tree)
     pts, centers, dom, full, cutoff, dist = _jump_states(
-        "duplicates" if case == "none eligible" else case)
+        "duplicates" if case in ("none eligible", "past every cutoff") else case)
     if case == "none eligible":  # every center full, every cutoff short of the points
         full[:] = True
         cutoff = np.minimum(cutoff, dist.min(axis=0) - 1e-6)
         cutoff[-1] = -np.inf
+    if case == "past every cutoff":  # each point's key, its nearest center, lies
+        # past every cutoff, so part (B) has no ball to query
+        full[np.argmin(dist, axis=1)] = True
+        cutoff = np.where(full, np.minimum(cutoff, dist.min() / 2), np.inf)
     order = np.argsort(dist, axis=1, kind="stable")
     sd = np.take_along_axis(dist, order, axis=1)
     # last keys: none, then a random position before each row's first
@@ -479,31 +507,40 @@ def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block,
     first_open = np.where(full[order].all(axis=1), order.shape[1],
                           np.argmax(~full[order], axis=1))
     rows = np.arange(len(pts))
-    for pos in (np.full(len(pts), -1),
-                (replica_rng(17).random(len(pts)) * (first_open + 1)).astype(np.int64) - 1):
+    keys = (np.full(len(pts), -1),
+            (replica_rng(17).random(len(pts)) * (first_open + 1)).astype(np.int64) - 1)
+    if case == "past every cutoff":
+        keys = (np.zeros(len(pts), dtype=np.int64),)
+    for pos in keys:
         lo_d = np.where(pos >= 0, sd[rows, np.maximum(pos, 0)], -np.inf)
         lo_c = np.where(pos >= 0, order[rows, np.maximum(pos, 0)], -1)
         want_c, want_d = allocation._first_eligible(order, sd, lo_d, lo_c, cutoff)
         got_c, got_d = allocation._next_key(pts, lo_d, lo_c, centers, dom, cutoff)
         assert np.array_equal(got_c, want_c) and np.array_equal(got_d, want_d)
+        hit = got_c[got_c >= 0]
         if case == "none eligible":
             assert np.all(got_c == -1) and np.all(got_d == np.inf)
+        elif case == "past every cutoff":
+            assert hit.size == len(pts) and not np.any(full[hit])
         else:  # both parts answer, some at a cutoff boundary
-            hit = got_c[got_c >= 0]
             assert np.any(~full[hit]) and np.any(full[hit])
             assert np.any(got_d[got_c >= 0] == cutoff[hit]) or pos.max() >= 0
             assert case != "at L" or np.any(hit == len(centers) - 1)
     assert pos.max() >= 0
+    assert paths == ({path} if path else set())
+    assert (np.count_nonzero(cutoff == np.inf) > allocation._LEAF) == (path == "kd")
+    assert case != "past every cutoff" or trees == []  # no tree over points or centers
 
 
 def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
     # every center in one corner of an open box, with quotas that add up to
     # more than the box: the cutoff balls cover most cells and one round's
     # balls hold more jumping cells than the grid has, yet the jump builds
-    # at most max(block, n_cells) cell-center pairs at once
+    # at most max(block, n_cells) cell-center pairs at once, also in the
+    # dense scan of few open centers, which calls allocation.distance
     block = 64
     monkeypatch.setattr(geometry, "BLOCK", block)
-    sizes, inside = [], []
+    sizes, dense, inside = [], [], []
     real_next_key, real_nearest = allocation._next_key, geometry.nearest
     real_distance = geometry.distance
 
@@ -519,24 +556,35 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
             sizes.append(len(pts) * min(k, len(others)))
         return real_nearest(tree, pts, k, others, domain)
 
-    def distance(a, b, domain):
-        d = real_distance(a, b, domain)
-        if inside:
-            sizes.append(d.size)
-        return d
+    def spy(into):
+        def distance(a, b, domain):
+            d = real_distance(a, b, domain)
+            if inside:
+                into.append(d.size)
+            return d
+        return distance
 
     monkeypatch.setattr(allocation, "_next_key", next_key)
     monkeypatch.setattr(geometry, "nearest", nearest)
-    monkeypatch.setattr(geometry, "distance", distance)
+    monkeypatch.setattr(geometry, "distance", spy(sizes))
+    monkeypatch.setattr(allocation, "distance", spy(dense))
     dom = Domain(sides=(8.0, 8.0), periodic=False)
     grid = SiteGrid(domain=dom, spacing=0.5)
-    rng = replica_rng(23)
-    centers = rng.random((100, 2))
-    appetites = rng.uniform(0.2, 1.2, size=len(centers))
-    alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
-    assert alloc.counters["beyond_list"] > grid.n_cells // 2
-    assert max(sizes) <= max(block, grid.n_cells)
-    assert sum(sizes) > 10 * grid.n_cells  # the jumps ran in many blocks
+    # 100 centers keep more than _LEAF open at every jump; 40 centers with
+    # larger appetites come down to _LEAF open ones in their last jumps
+    for n_centers, top in ((100, 1.2), (40, 4.0)):
+        sizes.clear()
+        dense.clear()
+        rng = replica_rng(23)
+        centers = rng.random((n_centers, 2))
+        appetites = rng.uniform(0.2, top, size=len(centers))
+        alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
+        assert max(sizes + dense) <= max(block, grid.n_cells)
+        if n_centers == 100:
+            assert alloc.counters["beyond_list"] > grid.n_cells // 2
+            assert sum(sizes) > 10 * grid.n_cells  # the jumps ran in many blocks
+        else:
+            assert dense  # a jump scanned its few open centers densely
 
 
 @settings(max_examples=150, deadline=None)
