@@ -8,6 +8,7 @@ assignment for the discretized instance.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -20,8 +21,6 @@ from .geometry import (
     GeometryError,
     distance,
     kd_tree,
-    keep,
-    kept,
     nearest_until,
     replica_rng,
     sample_poisson,
@@ -32,6 +31,7 @@ UNCLAIMED = -1
 
 PREF_K = 8  # nearest centers listed per cell
 _LEAF = 16  # cKDTree's default leafsize: _next_key scans up to this many open centers densely
+_memo = threading.local()  # entry: this thread's one (key, _Lists), or None
 
 
 class AllocationError(RuntimeError):
@@ -154,12 +154,13 @@ class _Lists(SimpleNamespace):
 
 
 def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
-    """The thread's _Lists for these centers, built on a miss and kept under
-    "lists", so a scale ladder (one map_ordered task) builds them once."""
-    key = (grid, PREF_K, geometry.BLOCK, centers)  # all the build reads
-    if (lists := kept("lists", *key)) is not None:
-        return lists
-    keep(None, "lists")  # free the old entry before building the new one
+    """The thread's _Lists for these centers, built on a miss and memoized, so
+    a scale ladder (one map_ordered task) builds them once."""
+    key = (grid, PREF_K, geometry.BLOCK, centers.shape, centers.tobytes())  # all the build reads
+    entry = getattr(_memo, "entry", None)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _memo.entry = entry = None  # free the old entry before building the new one
     cells = grid.cell_centers()
     nbr = np.zeros((len(cells), min(PREF_K, len(centers))), dtype=np.int64)
     nbr_d = np.empty(nbr.shape)
@@ -173,8 +174,8 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
     first = _ranked(np.flatnonzero(plen), nbr[:, 0], nbr_d[:, 0], len(centers))
     for a in (cells, nbr, nbr_d, plen, first):
         a.setflags(write=False)
-    return keep(_Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen, first=first),
-                "lists", *key)
+    _memo.entry = (key, _Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen, first=first))
+    return _memo.entry[1]
 
 
 def _ranked(cells, center, dist, n_centers):

@@ -10,13 +10,13 @@ is below the finiteness threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, keep, nearest_until, unit_ball_volume
+from .geometry import Domain, distance, kd_tree, nearest_until, unit_ball_volume, within
 
 
 class BooleanModelError(ValueError):
@@ -29,12 +29,15 @@ class BooleanModel:
 
     A center is censored when its 2R-ball is not fully resolved by the window
     (exits an open box, or wraps more than half a periodic side), so its R is
-    only a lower bound.
+    only a lower bound. edges, the overlap pairs that build_boolean derives
+    from its radius rows, cannot be passed in: a model made by hand or by
+    dataclasses.replace carries none, and a built model's radii are read-only.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     truncated: np.ndarray
+    edges: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n_balls(self) -> int:
@@ -48,8 +51,8 @@ def min_radius(scale: float, floor: float, d: int) -> float:
     return (scale * floor / unit_ball_volume(d)) ** (1.0 / d)
 
 
-def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray):
-    """Dominating radii of the centers rows.
+def _radii(config: PointConfiguration, domain: Domain, which: np.ndarray):
+    """Dominating radii of the centers indexed by which.
 
     A radius r depends only on the centers within 2r, so each center sweeps
     its row of k nearest centers (geometry.nearest_until), exact below the
@@ -62,11 +65,11 @@ def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray):
     """
     _require_floor(config)
     pi_d = unit_ball_volume(domain.dim)
-    out = np.empty(len(rows))
-    kept = []
+    out = np.empty(len(which))
+    rows = []
 
     def sweep(own, nbr, sd, bound, k):
-        nonlocal kept
+        nonlocal rows
         # The breakpoints are half distances. Entries at or past the bound
         # have distance inf and get appetite 0, so they add nothing and open
         # no interval.
@@ -84,13 +87,13 @@ def _radii(config: PointConfiguration, domain: Domain, rows: np.ndarray):
         done = (2.0 * r < bound) | (bound == np.inf)
         out[own[done]] = r[done]
         near = done[:, None] & (sd < 2.0 * r[:, None])
-        fits = kept is not None and sum(len(x[0]) for x in kept) + near.sum() <= geometry.BLOCK
-        kept = kept + [(np.repeat(own, near.sum(axis=1)), nbr[near], sd[near])] if fits else None
+        fits = rows is not None and sum(len(x[0]) for x in rows) + near.sum() <= geometry.BLOCK
+        rows = rows + [(np.repeat(own, near.sum(axis=1)), nbr[near], sd[near])] if fits else None
         return done
 
     centers = config.centers
-    nearest_until(kd_tree(centers, domain), centers[rows], centers, domain, sweep)
-    return out, tuple(map(np.concatenate, zip(*kept))) if kept else None
+    nearest_until(kd_tree(centers, domain), centers[which], centers, domain, sweep)
+    return out, tuple(map(np.concatenate, zip(*rows))) if rows else None
 
 
 def compute_radius(
@@ -115,15 +118,42 @@ def build_boolean(config: PointConfiguration, domain: Domain) -> BooleanModel:
     half the distance to the nearest open wall.
     """
     n = config.n_centers
-    keep(None, "rows")  # free the old entry before the build
-    radii, near = _radii(config, domain, np.arange(n))
-    keep(near, "rows", domain, config.centers, radii)  # ball_components' candidates
+    radii, rows = _radii(config, domain, np.arange(n))
+    radii.setflags(write=False)
     sides = np.asarray(domain.sides)
     if domain.periodic:
         caps = np.full(n, sides.min() / 4.0)
     else:
         caps = np.minimum(config.centers, sides - config.centers).min(axis=1) / 2.0
-    return BooleanModel(centers=config.centers, radii=radii, truncated=radii > caps)
+    model = BooleanModel(centers=config.centers, radii=radii, truncated=radii > caps)
+    if rows is not None:  # the radius rows fit in geometry.BLOCK triples
+        object.__setattr__(model, "edges", ball_overlaps(model, domain, rows))
+        model.edges.setflags(write=False)
+    return model
+
+
+def ball_overlaps(model: BooleanModel, domain: Domain, rows=None) -> np.ndarray:
+    """(m, 2) pairs of overlapping balls, the model's edges if it has them;
+    tangency does not connect.
+
+    Ball i proposes its partners within 2 r_i that precede it in (radius,
+    index) order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed
+    distance decides. The (i, j, distance) triples are the radius rows that
+    build_boolean passes, else geometry.within's blocks. A settled row is
+    exact below a bound above 2 r_i, and distance gives the same floats
+    whatever the shapes, so both give the same pairs.
+    """
+    if model.edges is not None:
+        return model.edges
+    centers, radii = model.centers, np.asarray(model.radii)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for i, j, d in [rows] if rows is not None else within(
+            kd_tree(centers, domain), centers, 2.0 * radii, centers, domain):
+        ok = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
+        i, j, d = i[ok], j[ok], d[ok]
+        ok = d < radii[i] + radii[j]
+        edges.append(np.stack([i[ok], j[ok]], axis=1))
+    return np.concatenate(edges)
 
 
 def check_domination(

@@ -1,10 +1,9 @@
-"""Domain primitives: boxes/tori, distances, ball volumes, Poisson sampling,
-the blocked, exact kd-tree queries, and the per-thread kept builds."""
+"""Domain primitives: boxes/tori, distances, ball volumes, Poisson sampling
+and the blocked, exact kd-tree queries."""
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,27 +11,6 @@ from scipy.spatial import cKDTree
 
 BLOCK = 1 << 20  # entries (rows x k, or pairs) per block of a query; read at call time
 SLACK = 1e-9  # relative: kd-tree and recomputed distances differ by rounding only
-
-_kept = threading.local()  # each thread's kept builds: per tag, one (parts, value) entry
-
-
-def _parts(parts: tuple) -> tuple:
-    return tuple((p.shape, p.tobytes()) if isinstance(p, np.ndarray) else p for p in parts)
-
-
-def kept(tag: str, *parts):
-    """The value this thread kept under tag for these parts, else None.
-    Arrays among the parts compare by shape and bytes."""
-    entry = getattr(_kept, tag, None)
-    return entry[1] if entry is not None and entry[0] == _parts(parts) else None
-
-
-def keep(value, tag: str, *parts):
-    """Make value, built from these parts alone, this thread's one entry under
-    tag, freeing the old one, and return it; None keeps nothing. A hit then
-    returns what a build would, so no result depends on what a thread kept."""
-    setattr(_kept, tag, None if value is None else (_parts(parts), value))
-    return value
 
 
 class GeometryError(ValueError):

@@ -20,8 +20,8 @@ from .allocation import (
     sample_replica,
 )
 from .appetite import AppetiteDistribution
-from .booleanmodel import BooleanModel
-from .geometry import Domain, distance, kd_tree, kept, palm_origin, within
+from .booleanmodel import BooleanModel, ball_overlaps
+from .geometry import Domain, distance, palm_origin
 
 
 class PercolationError(ValueError):
@@ -90,32 +90,13 @@ def _census(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic: bool,
                          max_origin_distance=max_reach, diameter=diam)
 
 
-def _ball_edges(centers: np.ndarray, radii: np.ndarray, domain: Domain) -> np.ndarray:
-    """(m, 2) pairs of overlapping balls; tangency does not connect.
-
-    Ball i proposes its partners within 2 r_i that precede it in (radius,
-    index) order, since d < r_i + r_j <= 2 max(r_i, r_j); the recomputed
-    distance decides. The (i, j, distance) blocks are the rows that the
-    thread's last build_boolean of these balls kept, else geometry.within's.
-    """
-    rows = kept("rows", domain, centers, radii)
-    edges = [np.empty((0, 2), dtype=np.int64)]
-    for i, j, d in [rows] if rows is not None else within(
-            kd_tree(centers, domain), centers, 2.0 * radii, centers, domain):
-        ok = (radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i))
-        i, j, d = i[ok], j[ok], d[ok]
-        ok = d < radii[i] + radii[j]
-        edges.append(np.stack([i[ok], j[ok]], axis=1))
-    return np.concatenate(edges)
-
-
 def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     """Overlap components of the balls; tangency does not connect."""
     radii = np.asarray(model.radii)
     if np.any(~np.isfinite(radii)):
         raise PercolationError("infinite radius in model")
     centers, r = model.centers, radii[:, None]
-    edges = _ball_edges(centers, radii, domain)
+    edges = ball_overlaps(model, domain)
     d_origin = distance(palm_origin(domain)[None, :], centers, domain)
     covering = d_origin < radii
 
@@ -227,7 +208,11 @@ def crossing_event(model: BooleanModel, domain: Domain, x: np.ndarray,
         raise PercolationError("window too small for the crossing event")
     sel = (model.radii >= radius_low) & (model.radii <= beta)
     centers, radii = model.centers[sel], model.radii[sel]
-    labels = _components(len(radii), _ball_edges(centers, radii, domain))
+    if model.edges is None:
+        edges = ball_overlaps(BooleanModel(centers, radii, model.truncated[sel]), domain)
+    else:  # the build's pairs inside the band, renumbered; an overlap depends on its pair alone
+        edges = (np.cumsum(sel) - 1)[model.edges[sel[model.edges].all(axis=1)]]
+    labels = _components(len(radii), edges)
     d_x = distance(x[None, :], centers, domain)
     touches_inner = labels[d_x < radii + beta]
     exits_outer = labels[d_x + radii > 2 * beta]
@@ -272,7 +257,8 @@ def run_replica(domain: Domain, grid: SiteGrid, intensity: float,
 
 def map_ordered(fn, items, workers: int = 1) -> list:
     """[fn(x) for x in items] on a pool of `workers` threads, in the order of
-    the items. What a task keeps per thread (geometry.keep) ends with the pool."""
+    the items. The lists a task's thread keeps (allocation._memo) end with
+    the pool."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -271,7 +271,7 @@ def _ball_partition_differs(rng, i) -> bool:
 
 def _boolean_model_differs(rng, i) -> bool:
     """csgraph and BFS disagree on the components of a dominating Boolean
-    model, labelled right after its build (from the rows the build kept)."""
+    model, labelled from the edges its build derived from the radius rows."""
     domain = Domain(sides=(12.0, 12.0), periodic=bool(i % 2))
     law = AppetiteDistribution("exponential", {"mean": 1.0}, floor=0.5)
     law = replace(law, scale=0.9 * finiteness_threshold(1.0, 2, moment_report(law).mean))

@@ -229,7 +229,7 @@ def test_dense_walk_names_no_solver_code():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not names & {"gale_shapley", "_lists", "_ranked", "_first_eligible", "_next_key",
-                        "kd_tree", "nearest", "nearest_until", "within", "kept", "keep"}
+                        "kd_tree", "nearest", "nearest_until", "within", "kept", "keep", "_memo"}
 
 
 def greedy_pass(config, grid):
@@ -857,13 +857,13 @@ def test_memo_ladders_equal_cold_solves(monkeypatch):
         configs = [PointConfiguration(centers, s * draws) for s in _SCALES]
         cold = []
         for config in configs:
-            geometry.keep(None, "lists")
+            allocation._memo.entry = None
             cold.append(gale_shapley(config, grid))
         ties += any(tied_owners(r, c, grid) for r, c in zip(cold, configs))
         jumps += any(r.counters["beyond_list"] for r in cold)
         shuffled = replica_rng(31, i).permutation(len(_SCALES))
         for order in (range(len(_SCALES)), range(len(_SCALES))[::-1], shuffled):
-            geometry.keep(None, "lists")
+            allocation._memo.entry = None
             for j in order:
                 assert _same_result(gale_shapley(configs[j], grid), cold[j]), (i, list(order))
     assert ties > 50 and jumps > 50
@@ -892,27 +892,14 @@ def test_a_sweep_builds_one_list_per_replica(monkeypatch, workers):
     dom = Domain(sides=(8.0, 8.0), periodic=False)
     grid = SiteGrid(domain=dom, spacing=0.25)
     dist = AppetiteDistribution("exponential", {"mean": 1.0})
-    geometry.keep(None, "lists")
     critical_sweep(dom, grid, 1.0, dist, [0.4, 0.7, 1.0, 1.3], 3, seed=5, workers=workers)
     assert builds == [grid.n_cells] * 3
-
-
-def test_a_build_boolean_between_solves_keeps_the_lists(monkeypatch):
-    # the build's rows and the ladder's lists are kept under their own tags
-    builds = _spy_list_builds(monkeypatch)
-    grid, centers, draws, _ = _ladder_instance(4)
-    for s in (0.3, 0.9, 2.0):
-        config = PointConfiguration(centers, s * draws)
-        gale_shapley(config, grid)
-        build_boolean(config, grid.domain)
-    assert builds == [grid.n_cells]
 
 
 def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
     builds = _spy_list_builds(monkeypatch)
     grid, centers, draws, _ = _ladder_instance(4)
     config = PointConfiguration(centers, draws)
-    geometry.keep(None, "lists")
     want = gale_shapley(config, grid)
     assert _same_result(gale_shapley(config, grid), want) and len(builds) == 1
     # beyond_list counts the jumps past lists of PREF_K, so only the
@@ -922,13 +909,13 @@ def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
     assert np.array_equal(short.assignment, want.assignment) and len(builds) == 2
     monkeypatch.setattr(geometry, "BLOCK", 5)
     assert _same_result(gale_shapley(config, grid), short) and len(builds) == 3
-    assert geometry.kept("lists", grid, 2, 5, config.centers) is not None
+    assert allocation._memo.entry[0] == (grid, 2, 5, centers.shape, config.centers.tobytes())
 
 
 def test_a_miss_frees_the_old_entry_before_the_build(monkeypatch):
     grid, centers, draws, _ = _ladder_instance(4)
     gale_shapley(PointConfiguration(centers, draws), grid)
-    old = weakref.ref(geometry._kept.lists[1])  # the kept (parts, value) entry's value
+    old = weakref.ref(allocation._memo.entry[1])  # the memo (key, lists) entry's lists
     alive_at_build = []
     real = allocation.nearest_until
 
@@ -940,3 +927,20 @@ def test_a_miss_frees_the_old_entry_before_the_build(monkeypatch):
     gale_shapley(PointConfiguration(centers[1:], draws[1:]), grid)
     assert alive_at_build and not any(alive_at_build)
     assert old() is None
+
+
+def test_the_lists_memo_compares_centers_by_shape_and_bytes():
+    grid, centers, draws, _ = _ladder_instance(4)
+    lists = allocation._lists(centers, grid)
+    assert allocation._lists(centers.copy(), grid) is lists  # equal bytes hit
+    build_boolean(PointConfiguration(centers, draws), grid.domain)
+    assert allocation._lists(centers, grid) is lists  # a Boolean build leaves the memo be
+    key = allocation._memo.entry[0][:3]
+    allocation._memo.entry = (key + ((centers.size, 1), centers.tobytes()), lists)
+    assert allocation._lists(centers, grid) is not lists  # same bytes, other shape
+    assert allocation._lists(centers + 1.0, grid) is not allocation._lists(centers, grid)
+    other = SiteGrid(domain=Domain(sides=grid.domain.sides, periodic=False), spacing=grid.spacing)
+    assert allocation._lists(centers, other) is not allocation._lists(centers, grid)
+    lists = allocation._lists(centers, grid)
+    allocation._memo.entry = None
+    assert allocation._lists(centers, grid) is not lists  # a freed entry is built anew

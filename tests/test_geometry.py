@@ -283,18 +283,3 @@ def test_nearest_until_settles_each_row_once(monkeypatch, block, k0):
     # no call covers more than max(BLOCK, one row) entries
     assert max(sizes) <= max(block, len(others))
     assert len(sizes) > 1
-
-
-def test_kept_compares_arrays_by_shape_and_bytes_per_tag():
-    dom = Domain(sides=(2.0, 2.0))
-    pts = np.arange(4.0)
-    value = geometry.keep(["built"], "a", dom, pts)
-    assert geometry.kept("a", dom, pts.copy()) is value  # equal bytes hit
-    assert geometry.kept("a", dom, pts.reshape(2, 2)) is None  # same bytes, other shape
-    assert geometry.kept("a", dom, pts + 1.0) is None
-    assert geometry.kept("a", Domain(sides=(2.0, 2.0), periodic=False), pts) is None
-    assert geometry.kept("b", dom, pts) is None
-    geometry.keep(["other"], "b", dom, pts)
-    assert geometry.kept("a", dom, pts) is value  # another tag does not evict it
-    geometry.keep(None, "a")
-    assert geometry.kept("a", dom, pts) is None

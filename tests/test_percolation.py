@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from allocperc import geometry, percolation, validation
+from allocperc import allocation, booleanmodel, geometry, percolation, validation
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution, sample_appetites
 from allocperc.booleanmodel import BooleanModel, build_boolean, compute_radius
@@ -163,7 +163,7 @@ def spy_kd_trees(monkeypatch):
         calls.append(len(points))
         return geometry.kd_tree(points, domain)
 
-    monkeypatch.setattr(percolation, "kd_tree", kd_tree)
+    monkeypatch.setattr(booleanmodel, "kd_tree", kd_tree)
     return calls
 
 
@@ -173,10 +173,10 @@ def test_ball_components_same_from_the_build_rows_as_from_a_kd_tree(d, periodic,
     calls = spy_kd_trees(monkeypatch)
     for config, dom in built_models(d, periodic):
         model = build_boolean(config, dom)
+        assert calls.pop() == config.n_centers  # the radius kernel's tree
         warm = ball_components(model, dom)
-        assert calls == []  # the rows came from the build
-        geometry.keep(None, "rows")
-        cold = ball_components(model, dom)
+        assert calls == []  # the edges came from the build
+        cold = ball_components(replace(model), dom)
         assert calls.pop() == config.n_centers
         for a, b in zip(report_fields(warm), report_fields(cold)):
             assert np.array_equal(a, b)
@@ -186,12 +186,12 @@ def test_ball_components_same_from_the_build_rows_as_from_a_kd_tree(d, periodic,
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_changed_radii_miss_the_build_rows(factor, monkeypatch):
-    calls = spy_kd_trees(monkeypatch)
     config, dom = next(built_models(2, False))
     model = build_boolean(config, dom)
+    calls = spy_kd_trees(monkeypatch)
     model = replace(model, radii=model.radii * factor)
     report = ball_components(model, dom)
-    assert calls == [config.n_centers]
+    assert model.edges is None and calls == [config.n_centers]
     assert same_partition(report.labels,
                           bfs_ball_components_oracle(model.centers, model.radii, dom))
 
@@ -213,18 +213,18 @@ def heavy_tail_model(seed):
 def test_rows_past_one_block_are_not_kept(seed, monkeypatch):
     monkeypatch.setattr(geometry, "BLOCK", 64)
     model, dom = heavy_tail_model(seed)
-    assert geometry._kept.rows is None
+    assert model.edges is None
     assert same_partition(ball_components(model, dom).labels,
                           bfs_ball_components_oracle(model.centers, model.radii, dom))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_miss_computes_its_distances_in_blocks(seed, monkeypatch):
-    # the overlap pairs of a model whose rows were not kept come from
+    # the overlap pairs of a model that carries no edges come from
     # geometry.within, whose blocks hold at most BLOCK pairs or one ball's
     monkeypatch.setattr(geometry, "BLOCK", 64)
     model, dom = heavy_tail_model(seed)
-    assert geometry._kept.rows is None
+    assert model.edges is None
     sizes, real = [], geometry.distance
 
     def distance_spy(a, b, domain):
@@ -241,13 +241,13 @@ def test_a_miss_computes_its_distances_in_blocks(seed, monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_build_rows_of_no_center_or_one(n, monkeypatch):
-    calls = spy_kd_trees(monkeypatch)
     dom = Domain(sides=(4.0, 4.0), periodic=False)
     model = build_boolean(PointConfiguration(np.full((n, 2), 2.0), np.ones(n)), dom)
+    calls = spy_kd_trees(monkeypatch)
     report = ball_components(model, dom)
     assert report.n_components == n and report.labels.tolist() == [0] * n
     assert report.origin_component == n - 1  # the one ball covers the box center
-    assert len(calls) == 1 - n  # no rows are kept without centers
+    assert len(calls) == 1 - n  # a build of no center derives no edges
 
 
 def test_compute_radius_keeps_the_build_rows(monkeypatch):
@@ -256,23 +256,15 @@ def test_compute_radius_keeps_the_build_rows(monkeypatch):
     model = build_boolean(config, dom)
     compute_radius(0, other, dom)
     compute_radius(1, config, dom)
-    ball_components(model, dom)
-    assert calls == []
-
-
-def test_a_solve_keeps_the_build_rows(monkeypatch):
-    # the solve's lists and the build's rows are kept under their own tags
-    calls = spy_kd_trees(monkeypatch)
-    config, dom = next(built_models(2, False))
-    model = build_boolean(config, dom)
     gale_shapley(config, SiteGrid(domain=dom, spacing=0.5))
     ball_components(model, dom)
-    assert calls == []
+    # the trees of the build and the two radii only: radii and a solve leave its edges be
+    assert calls == [config.n_centers, other.n_centers, config.n_centers]
 
 
 def test_build_rows_stay_with_their_thread(monkeypatch):
-    # each thread labels the model it built from its own rows, however the
-    # threads interleave
+    # each thread labels the model it built from that model's edges, however
+    # the threads interleave
     configs = list(built_models(2, False))
     want = [ball_components(build_boolean(config, dom), dom).labels for config, dom in configs]
     calls = spy_kd_trees(monkeypatch)
@@ -280,15 +272,50 @@ def test_build_rows_stay_with_their_thread(monkeypatch):
     def task(config_dom):
         config, dom = config_dom
         return ball_components(build_boolean(config, dom), dom).labels
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         got = percolation.map_ordered(task, configs, workers=3)
     finally:
         sys.setswitchinterval(interval)
-    assert calls == []
+    assert sorted(calls) == sorted(config.n_centers for config, _ in configs)  # builds only
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("block", [geometry.BLOCK, 7])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_crossing_event_on_a_built_model_reuses_its_edges(d, periodic, block, monkeypatch):
+    models = [(build_boolean(config, dom), dom) for config, dom in built_models(d, periodic)]
+    monkeypatch.setattr(geometry, "BLOCK", block)  # the edgeless copies' blocks
+    calls, answers = spy_kd_trees(monkeypatch), []
+    for model, dom in models:
+        sides, r = np.asarray(dom.sides), model.radii
+        # the largest ball a window fits crosses it alone from x 1.5 r off its center
+        k = int(np.argmax(np.where(r <= sides.min() / 6, r, -1.0)))
+        lone = model.centers[k] + 1.5 * r[k] * np.eye(d)[0]
+        for x, beta in [(lone, r[k])] + [(sides / 2, sides.min() / f) for f in (6, 12, 24)]:
+            if periodic or (np.all(x >= 3 * beta) and np.all(x + 3 * beta <= sides)):
+                for low in (0.0, float(np.median(r))):
+                    got = [crossing_event(m, dom, x, low, beta) for m in (model, replace(model))]
+                    assert got == [crossing_event_brute(model, dom, x, low, beta)] * 2
+                    answers.append(got[0])
+    assert len(calls) == len(answers)  # one tree per band, the edgeless copy's
+    assert any(answers) and not all(answers)
+
+
+def test_a_built_model_cannot_go_stale():
+    config, dom = next(built_models(2, True))
+    model = build_boolean(config, dom)
+    for field in (model.centers, model.radii, model.edges):
+        with pytest.raises(ValueError):
+            field[0] = 0.0
+    with pytest.raises(TypeError):  # edges cannot be passed in
+        BooleanModel(model.centers, model.radii, model.truncated, model.edges)
+    grown = replace(model, radii=model.radii * 1.5)
+    assert grown.edges is None
+    assert np.array_equal(ball_components(grown, dom).labels,
+                          bfs_ball_components_oracle(grown.centers, grown.radii, dom))
 
 
 def crossing_event_brute(model, dom, x, radius_low, beta):
@@ -658,7 +685,7 @@ def test_sweep_counters_are_those_of_cold_solves_at_any_worker_count():
     want = np.empty((len(scales), 3, 2), dtype=np.int64)
     for rep in range(3):
         for i, a in enumerate(scales):
-            geometry.keep(None, "lists")
+            allocation._memo.entry = None
             alloc, _ = run_replica(dom, grid, 1.0, replace(dist, scale=a), 9, rep)
             want[i, rep] = alloc.counters["rounds"], alloc.counters["beyond_list"]
     interval = sys.getswitchinterval()
@@ -673,8 +700,8 @@ def test_sweep_counters_are_those_of_cold_solves_at_any_worker_count():
 
 
 def test_every_worker_count_runs_on_the_pool_and_keeps_nothing_in_the_caller(monkeypatch):
-    # workers = 1 takes the pool path too: the solves' lists and the builds'
-    # rows die with the pool thread, and the results are those of 2 and 3
+    # workers = 1 takes the pool path too: the solves' lists die with the
+    # pool thread, and the results are those of 2 and 3
     monkeypatch.setattr(validation, "_CHECKS", tuple(
         row for row in validation._CHECKS
         if row[0] in ("stability", "boolean_model_components_vs_bfs")))
@@ -686,7 +713,7 @@ def test_every_worker_count_runs_on_the_pool_and_keeps_nothing_in_the_caller(mon
         sweeps.append(critical_sweep(dom, grid, 1.0, dist, [0.4, 0.8, 1.2], 3, seed=9,
                                      workers=workers))
         checks.append(validation.run_validation(3, workers))
-        assert vars(geometry._kept) == {}
+        assert vars(allocation._memo) == {}
     for got in sweeps[1:]:
         assert got.rows == sweeps[0].rows and got.bracket == sweeps[0].bracket
         assert np.array_equal(got.indicators, sweeps[0].indicators)
@@ -695,14 +722,12 @@ def test_every_worker_count_runs_on_the_pool_and_keeps_nothing_in_the_caller(mon
 
 
 def test_a_task_kept_build_dies_with_the_pool():
-    class Build:
-        pass
-
+    grid = SiteGrid(domain=Domain(sides=(4.0, 4.0)), spacing=0.5)
     refs = []
 
     def task(i):
-        build = geometry.keep(Build(), "lists", i)
-        refs.append(weakref.ref(build))
+        lists = allocation._lists(np.array([[1.0, 1.0], [3.0, 2.5]]) + i / 4, grid)
+        refs.append(weakref.ref(lists))
         return i
 
     for workers in (1, 2, 3):
