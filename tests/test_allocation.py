@@ -896,6 +896,17 @@ def test_a_sweep_builds_one_list_per_replica(monkeypatch, workers):
     assert builds == [grid.n_cells] * 3
 
 
+def test_a_build_boolean_between_solves_keeps_the_lists(monkeypatch):
+    # a Boolean build keeps nothing in the lists memo, so the ladder's lists stay warm
+    builds = _spy_list_builds(monkeypatch)
+    grid, centers, draws, _ = _ladder_instance(4)
+    for s in (0.3, 0.9, 2.0):
+        config = PointConfiguration(centers, s * draws)
+        gale_shapley(config, grid)
+        build_boolean(config, grid.domain)
+    assert builds == [grid.n_cells]
+
+
 def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
     builds = _spy_list_builds(monkeypatch)
     grid, centers, draws, _ = _ladder_instance(4)

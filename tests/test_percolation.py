@@ -256,10 +256,19 @@ def test_compute_radius_keeps_the_build_rows(monkeypatch):
     model = build_boolean(config, dom)
     compute_radius(0, other, dom)
     compute_radius(1, config, dom)
+    ball_components(model, dom)
+    # the trees of the build and the two radii only: the radii leave its edges be
+    assert calls == [config.n_centers, other.n_centers, config.n_centers]
+
+
+def test_a_solve_keeps_the_build_rows(monkeypatch):
+    # a solve keeps nothing on the model, so its edges outlast the solve
+    calls = spy_kd_trees(monkeypatch)
+    config, dom = next(built_models(2, False))
+    model = build_boolean(config, dom)
     gale_shapley(config, SiteGrid(domain=dom, spacing=0.5))
     ball_components(model, dom)
-    # the trees of the build and the two radii only: radii and a solve leave its edges be
-    assert calls == [config.n_centers, other.n_centers, config.n_centers]
+    assert calls == [config.n_centers]  # the build's radius tree only
 
 
 def test_build_rows_stay_with_their_thread(monkeypatch):
