@@ -21,6 +21,7 @@ from .geometry import (
     GeometryError,
     distance,
     kd_tree,
+    nearest,
     nearest_until,
     replica_rng,
     sample_poisson,
@@ -84,10 +85,11 @@ class PointConfiguration:
     appetites: np.ndarray  # (n,)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        # copies, so freezing them leaves the caller's arrays writable and apart
+        centers = np.atleast_2d(np.array(self.centers, dtype=float))
         if centers.size == 0:
             centers = centers.reshape(0, centers.shape[-1] if centers.ndim > 1 else 1)
-        appetites = np.asarray(self.appetites, dtype=float).ravel()
+        appetites = np.array(self.appetites, dtype=float).ravel()
         if len(centers) != len(appetites):
             raise ValueError(
                 f"{len(centers)} centers but {len(appetites)} appetites"
@@ -162,14 +164,12 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
         return entry[1]
     _memo.entry = entry = None  # free the old entry before building the new one
     cells = grid.cell_centers()
-    nbr = np.zeros((len(cells), min(PREF_K, len(centers))), dtype=np.int64)
+    nbr = np.empty((len(cells), min(PREF_K, len(centers))), dtype=np.int64)
     nbr_d = np.empty(nbr.shape)
-
-    def store(rows, c, d, bound, k):
-        nbr[rows], nbr_d[rows] = c, d
-        return np.ones(len(rows), dtype=bool)
-
-    nearest_until(kd_tree(centers, grid.domain), cells, centers, grid.domain, store, k=PREF_K)
+    tree, step = kd_tree(centers, grid.domain), max(1, geometry.BLOCK // PREF_K)
+    for s in range(0, len(cells), step):
+        nbr[s:s + step], nbr_d[s:s + step], _ = nearest(tree, cells[s:s + step], PREF_K,
+                                                        centers, grid.domain)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
     first = _ranked(np.flatnonzero(plen), nbr[:, 0], nbr_d[:, 0], len(centers))
     for a in (cells, nbr, nbr_d, plen, first):
@@ -272,9 +272,7 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         past = jumped[active]
         waiting, active = np.r_[waiting, active[past]], active[~past]
         if active.size:
-            w = max(int(plen[active].max()), 1)  # later columns hold only inf
-            c, dc = _first_eligible(nbr[active, :w], nbr_d[active, :w], dcand[active],
-                                    cand[active], cutoff)
+            c, dc = _first_eligible(nbr[active], nbr_d[active], dcand[active], cand[active], cutoff)
             listed = c >= 0
             waiting = np.r_[waiting, active[~listed]]
             active = active[listed]
@@ -419,16 +417,9 @@ def verify_stability(
     for s in range(0, len(cells), step):
         x = np.arange(s, min(s + step, len(cells)))[:, None]
         dist = distance(cells[x], centers[None], domain)
-        mine = own[x]
-        tie = np.equal(dist, mine)  # one buffer for both equality terms
-        tie &= index < assign[x]
-        desires = dist < mine
-        desires |= tie
-        covets = np.equal(dist, farthest, out=tie)
-        covets &= x < far_cell
-        covets |= dist < farthest
-        covets |= ~sated
-        unstable = np.logical_and(desires, covets, out=desires)
+        desires = (dist < own[x]) | ((dist == own[x]) & (index < assign[x]))
+        covets = (dist < farthest) | ((dist == farthest) & (x < far_cell)) | ~sated
+        unstable = desires & covets
         if unstable.any():  # a stable solve's blocks hold none; argwhere would scan each
             pairs.extend(tuple(p) for p in np.argwhere(unstable) + (s, 0))
     return pairs

@@ -63,7 +63,10 @@ def _radii(config: PointConfiguration, domain: Domain, which: np.ndarray):
     returns the rows' entries below 2r as (i, j, distance) arrays, or None
     where they exceed geometry.BLOCK triples.
     """
-    _require_floor(config)
+    if np.any(config.appetites <= 0):
+        raise BooleanModelError(
+            "dominating radii need every appetite > 0; raise the scale or the floor"
+        )
     pi_d = unit_ball_volume(domain.dim)
     out = np.empty(len(which))
     rows = []
@@ -101,13 +104,6 @@ def compute_radius(
 ) -> float:
     """Dominating radius of one center, by exact breakpoint sweep."""
     return float(_radii(config, domain, np.array([center_index]))[0][0])
-
-
-def _require_floor(config: PointConfiguration) -> None:
-    if np.any(config.appetites <= 0):
-        raise BooleanModelError(
-            "dominating radii need every appetite > 0; raise the scale or the floor"
-        )
 
 
 def build_boolean(config: PointConfiguration, domain: Domain) -> BooleanModel:

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .allocation import SiteGrid, phase_diagnostics, sample_replica
 from .appetite import moment_report
-from .booleanmodel import BooleanModelError, build_boolean, tail_statistics
+from .booleanmodel import BooleanModel, BooleanModelError, build_boolean, tail_statistics
 from .bounds import (CHERNOFF_GRID, PhaseParams, classify_phase, finiteness_threshold,
                      nagaev_bound, poisson_chernoff)
 from .config import ConfigError, ExperimentConfig, parse_config_file, resolve_config
@@ -91,9 +91,10 @@ def cmd_boolean(cfg: ExperimentConfig) -> tuple[int, dict[str, bytes], dict]:
             "boolean model needs positive appetites; set floor > 0 and scale > 0"
         )
 
-    def one(rep):
+    def one(rep):  # drops the overlap edges, which neither artifact reads, from the pool
         config = sample_replica(cfg.domain, cfg.intensity, cfg.appetite, cfg.seed, rep)
-        return rep, build_boolean(config, cfg.domain)
+        m = build_boolean(config, cfg.domain)
+        return rep, BooleanModel(m.centers, m.radii, m.truncated)
 
     try:
         results = map_ordered(one, range(cfg.replicas), cfg.workers)

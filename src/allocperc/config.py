@@ -171,6 +171,8 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     # (the float product is inf past the float range).
     if math.prod(grid.shape) > 2 ** 62 or intensity * math.prod(sides) > 2.0 ** 62:
         raise ConfigError("the box holds more than 2^62 cells or expected centers")
+    if domain.volume == 0:  # the product of the sides underflows
+        raise ConfigError(f"the box volume underflows to 0; enlarge the sides {sides_text!r}")
 
     seed = as_int("seed")
     if seed < 0:

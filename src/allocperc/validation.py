@@ -339,16 +339,11 @@ _CHECKS = (
 )
 
 
-def _count(seed: int, base: int, n: int, failed) -> int:
-    """The instances i < n for which failed(replica_rng(seed, base + i), i) holds."""
-    return sum(failed(replica_rng(seed, base + i), i) for i in range(n))
-
-
 def run_validation(seed: int, workers: int = 1) -> list[CheckResult]:
     """Every check, in a fixed order. Each check draws from its own seeded
     streams, so running them on a thread pool changes no result."""
     def run(row):
         name, base, n, failed = row
-        return CheckResult(name, n, _count(seed, base, n, failed))
+        return CheckResult(name, n, sum(failed(replica_rng(seed, base + i), i) for i in range(n)))
 
     return map_ordered(run, _CHECKS, workers)

@@ -52,6 +52,14 @@ def test_no_centers_all_unclaimed():
     assert diag.fraction_sated == 1.0  # vacuous convention
 
 
+def test_a_configuration_owns_its_arrays():
+    c, a = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0])
+    config = PointConfiguration(c, a)
+    assert c.flags.writeable and not config.centers.flags.writeable
+    c[0, 0], a[0] = 9.0, 5.0
+    assert config.centers[0, 0] == 1.0 and config.appetites[0] == 1.0
+
+
 def test_single_center_territory_is_a_ball():
     # appetite pi -> ball of radius 1; h = radius / 50
     a = math.pi
@@ -870,17 +878,22 @@ def test_memo_ladders_equal_cold_solves(monkeypatch):
 
 
 def _spy_list_builds(monkeypatch):
-    """Record the rows of each list build, the nearest_until call made by
-    _lists (the jump past the list makes the others)."""
-    builds = []
-    real = allocation.nearest_until
+    """Record the rows of each list build: the allocation.nearest calls of one
+    build, a block each, share its kd-tree (the jump past the list calls
+    geometry.nearest through nearest_until)."""
+    trees, builds = [], []
+    real = allocation.nearest
 
-    def spy(tree, pts, others, domain, settle, **kwargs):
-        if settle.__qualname__.startswith("_lists."):
-            builds.append(len(pts))
-        return real(tree, pts, others, domain, settle, **kwargs)
+    def spy(tree, pts, *args):
+        n = next((n for n, t in enumerate(trees) if t is tree), None)
+        if n is None:  # a tree is built and queried by one thread
+            trees.append(tree)
+            builds.append(0)
+            n = len(trees) - 1
+        builds[n] += len(pts)
+        return real(tree, pts, *args)
 
-    monkeypatch.setattr(allocation, "nearest_until", spy)
+    monkeypatch.setattr(allocation, "nearest", spy)
     return builds
 
 
@@ -928,13 +941,13 @@ def test_a_miss_frees_the_old_entry_before_the_build(monkeypatch):
     gale_shapley(PointConfiguration(centers, draws), grid)
     old = weakref.ref(allocation._memo.entry[1])  # the memo (key, lists) entry's lists
     alive_at_build = []
-    real = allocation.nearest_until
+    real = allocation.nearest
 
     def spy(*args, **kwargs):
         alive_at_build.append(old() is not None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(allocation, "nearest_until", spy)
+    monkeypatch.setattr(allocation, "nearest", spy)
     gale_shapley(PointConfiguration(centers[1:], draws[1:]), grid)
     assert alive_at_build and not any(alive_at_build)
     assert old() is None

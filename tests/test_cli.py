@@ -129,6 +129,9 @@ def test_boolean_outputs(tmp_path):
     # past numpy's 32 meshgrid axes and 64 array dimensions, with one cell
     ("allocate", "dimension = 33\nsides = 0.25\nspacing = 0.25\nintensity = 1e20\n"),
     ("percolate", "dimension = 65\nsides = 0.25\nspacing = 0.25\nintensity = 1e20\n"),
+    # a box whose volume underflows to 0, which the claimed fraction divides by
+    ("allocate", "sides = 1e-200,1e-200\nspacing = 1e-200\n"),
+    ("sweep", "boundary = open\nsides = 1e-200,1e-200\nspacing = 1e-200\n"),
 ])
 def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -136,6 +139,29 @@ def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_boolean_pools_models_without_overlap_edges(tmp_path, monkeypatch):
+    # a built model carries its overlap edges; the run keeps only radii and flags
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(BASE_CFG + "floor = 1.0\nscale = 0.1\nreplicas = 3\n")
+    built, pooled = [], []
+    real_build, real_tail = cli.build_boolean, cli.tail_statistics
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def tail(models):
+        pooled.extend(models)
+        return real_tail(models)
+
+    monkeypatch.setattr(cli, "build_boolean", build)
+    monkeypatch.setattr(cli, "tail_statistics", tail)
+    assert main(["boolean", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert len(built) == len(pooled) == 3 and all(m.edges is not None for m in built)
+    assert all(m.edges is None for m in pooled)
 
 
 def test_boolean_tail_grid_starts_below_tiny_radii(tmp_path):
