@@ -8,6 +8,7 @@ assignment for the discretized instance.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -47,14 +48,16 @@ class SiteGrid:
     spacing: float
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise GeometryError("grid spacing must be positive")
+        if not 0 < self.spacing < math.inf:  # NaN fails too
+            raise GeometryError(f"grid spacing must be positive and finite, got {self.spacing}")
         for L in self.domain.sides:
             n = round(L / self.spacing)
             if n < 1 or abs(n * self.spacing - L) > 1e-9 * L:
                 raise GeometryError(
                     f"spacing {self.spacing} does not tile side length {L}"
                 )
+        if self.n_cells > 2 ** 62:  # more than numpy can index or allocate
+            raise GeometryError("the grid holds more than 2^62 cells")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,7 +65,7 @@ class SiteGrid:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:

@@ -31,9 +31,11 @@ class Domain:
         sides = tuple(float(s) for s in self.sides)
         if len(sides) < 1:
             raise GeometryError("domain needs at least one dimension")
-        if any(s <= 0 for s in sides):
-            raise GeometryError(f"side lengths must be positive, got {sides}")
+        if not all(0 < s < math.inf for s in sides):  # NaN fails too
+            raise GeometryError(f"side lengths must be positive and finite, got {sides}")
         object.__setattr__(self, "sides", sides)
+        if self.volume == 0:  # the product of the sides underflows
+            raise GeometryError(f"the box volume underflows to 0; enlarge the sides {sides}")
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -105,4 +104,4 @@ def rewrite() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(rewrite())
+    rewrite()

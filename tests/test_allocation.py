@@ -23,6 +23,7 @@ from allocperc.appetite import AppetiteDistribution
 from allocperc.booleanmodel import build_boolean
 from allocperc.geometry import (
     Domain,
+    GeometryError,
     distance,
     replica_rng,
     sample_poisson,
@@ -808,6 +809,20 @@ def test_stability_scan_memory_is_linear(monkeypatch, block):
 def test_appetite_below_0_or_not_a_number_is_rejected(bad):
     with pytest.raises(ValueError):
         PointConfiguration(np.zeros((2, 2)), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("sides, spacing", [
+    ((4.0,), math.nan),
+    ((4.0,), math.inf),
+    ((2.0 ** 32, 2.0 ** 32), 1.0),  # 2^64 cells, which int64 wraps to 0
+])
+def test_site_grid_refuses_a_spacing_or_size_it_cannot_hold(sides, spacing):
+    with pytest.raises(GeometryError):
+        SiteGrid(Domain(sides, periodic=False), spacing)
+
+
+def test_site_grid_counts_2_to_the_62_cells_exactly():
+    assert SiteGrid(Domain((2.0 ** 31, 2.0 ** 31), periodic=False), 1.0).n_cells == 2 ** 62
 
 
 # --- scale ladders, and the per-thread memo of the geometry-only solve state --

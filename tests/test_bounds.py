@@ -58,6 +58,20 @@ def test_poisson_chernoff_dominates_exact_tail():
             assert poisson_chernoff(mean, a) >= exact_poisson_tail(mean, math.ceil(a)) - 1e-12
 
 
+@pytest.mark.parametrize("mean, threshold, tail", [
+    (10.0, 50, 1.8547268838698e-19),  # 1 - (the mass below) cancels to 1.1e-16
+    (50.0, 250, 4.116822054435e-90),  # ... and to 0
+])
+def test_exact_poisson_tail_far_past_the_mean(mean, threshold, tail):
+    # an independent check of the expected value: the upper-tail terms, in log space
+    logs = [k * math.log(mean) - mean - math.lgamma(k + 1) for k in range(threshold, 4 * threshold)]
+    top = max(logs)
+    summed = math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
+    assert summed == pytest.approx(tail, rel=1e-9, abs=0)
+    assert exact_poisson_tail(mean, threshold) == pytest.approx(tail, rel=1e-9, abs=0)
+    assert exact_poisson_tail(mean, 0) == 1.0
+
+
 def test_poisson_chernoff_decreasing_in_threshold():
     values = [poisson_chernoff(10.0, a) for a in np.linspace(10.5, 60.0, 50)]
     assert all(b < a for a, b in zip(values, values[1:]))

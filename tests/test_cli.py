@@ -129,6 +129,7 @@ def test_boolean_outputs(tmp_path):
     # past numpy's 32 meshgrid axes and 64 array dimensions, with one cell
     ("allocate", "dimension = 33\nsides = 0.25\nspacing = 0.25\nintensity = 1e20\n"),
     ("percolate", "dimension = 65\nsides = 0.25\nspacing = 0.25\nintensity = 1e20\n"),
+    ("allocate", "sides = nan,nan\n"),  # refused by Domain, as is the box below
     # a box whose volume underflows to 0, which the claimed fraction divides by
     ("allocate", "sides = 1e-200,1e-200\nspacing = 1e-200\n"),
     ("sweep", "boundary = open\nsides = 1e-200,1e-200\nspacing = 1e-200\n"),
@@ -545,7 +546,7 @@ def test_seed_changes_outputs(cfg_file, tmp_path):
 
 _CONFIG_VALUES = {
     "dimension": ["1", "2", "3", "0", "2.5"],
-    "sides": ["2", "3,3", "2,2,2", "0", "-1", "inf", "x"],
+    "sides": ["2", "3,3", "2,2,2", "0", "-1", "inf", "nan", "x"],
     "boundary": ["periodic", "open", "torus"],
     "intensity": ["0.5", "1.0", "0", "nan"],
     "family": ["constant", "exponential", "pareto", "lognormal", "bogus"],
@@ -558,7 +559,7 @@ _CONFIG_VALUES = {
     "value": ["1.0", "0"],
     "scale": ["0.05", "0.5", "2", "0", "-1", "nan", "inf", "1e-200"],
     "floor": ["0", "0.5", "1", "-1", "nan", "1e-200"],
-    "spacing": ["0.5", "1", "0.3", "0", "x"],
+    "spacing": ["0.5", "1", "0.3", "0", "nan", "x"],
     "replicas": ["1", "2", "0"],
     "scale_grid": ["0.1:0.5:0.2", "0.5:0.1:0.1", "0:inf:1", "nan:1:0.1", "x"],
     "seed": ["0", "7", "-1"],

@@ -55,6 +55,10 @@ def test_domain_validation():
         Domain(sides=(1.0, -2.0))
     with pytest.raises(GeometryError):
         Domain(sides=())
+    # not finite, or a volume that underflows to 0
+    for sides in [(math.nan,), (math.inf,), (1e-200, 1e-200)]:
+        with pytest.raises(GeometryError):
+            Domain(sides=sides, periodic=False)
 
 
 @settings(max_examples=200, deadline=None)

@@ -29,5 +29,6 @@ def test_every_run_matches_its_pinned_digests():
 
 
 def test_three_workers_match_the_pinned_digests():
+    pinned = _pinned()
     runs = golden.run_all([golden.THREADED], workers=3)
-    _check({run: _pinned()[run] for run in runs}, runs)
+    _check({run: pinned[run] for run in runs}, runs)
