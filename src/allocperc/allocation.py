@@ -154,8 +154,10 @@ def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
 class _Lists(SimpleNamespace):
     """Solve state that depends only on (grid, centers), all read-only: cells,
     each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
-    prefix) and length plen, and first, the cells with a certified nearest
-    center in (center, distance, cell) order."""
+    prefix) and length plen; first, the cells with a certified nearest
+    center in (center, distance, cell) order, with that center c1, its
+    distance d1 and each cell's rank1 in its center's run of first; and
+    rest, the cells with no certified entry. Round 1 is first and rest."""
 
 
 def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
@@ -175,10 +177,14 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
                                                         centers, grid.domain)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
     first = _ranked(np.flatnonzero(plen), nbr[:, 0], nbr_d[:, 0], len(centers))
-    for a in (cells, nbr, nbr_d, plen, first):
+    c1, d1, rest = nbr[first, 0], nbr_d[first, 0], np.flatnonzero(plen == 0)
+    rank1 = _runs(c1)[1]
+    lists = _Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen, first=first,
+                   c1=c1, d1=d1, rank1=rank1, rest=rest)
+    for a in vars(lists).values():
         a.setflags(write=False)
-    _memo.entry = (key, _Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen, first=first))
-    return _memo.entry[1]
+    _memo.entry = (key, lists)
+    return lists
 
 
 def _ranked(cells, center, dist, n_centers):
@@ -188,6 +194,14 @@ def _ranked(cells, center, dist, n_centers):
     cells = np.sort(cells)
     cells = cells[np.argsort(dist[cells], kind="stable")]
     return cells[np.argsort(center[cells].astype(np.min_scalar_type(n_centers)), kind="stable")]
+
+
+def _runs(g):
+    """The starts of the runs of equal entries of g, and each entry's rank in
+    its run."""
+    new = np.concatenate(([True], g[1:] != g[:-1]))[:g.size]
+    starts = np.flatnonzero(new)
+    return starts, np.arange(g.size) - starts[np.cumsum(new) - 1]
 
 
 def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult:
@@ -245,26 +259,26 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     # skipping on them is safe, and a waiting cell stays past its list.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
 
-    pool = lists.first[quota[nbr[lists.first, 0]] > 0]  # round 1, ranked
-    cand[pool], dcand[pool] = nbr[pool, 0], nbr_d[pool, 0]
-    active = np.flatnonzero(np.bincount(pool, minlength=n_cells) == 0)  # apply next
+    # Round 1, ranked: dropping the whole groups of zero-quota centers from
+    # first leaves every other cell's rank in its group.
+    ok = quota[lists.c1] > 0
+    pool, gc, rank = lists.first[ok], lists.c1[ok], lists.rank1[ok]
+    starts = np.flatnonzero(rank == 0)
+    cand[pool], dcand[pool] = gc, lists.d1[ok]
+    active = np.sort(np.concatenate((lists.rest, lists.first[~ok])))  # apply next
     waiting = active[:0]  # cells past their list, held nowhere
     max_rounds = 10 * max(n_cells, 1)
     for rounds in range(1, max_rounds + 1):
-        # Each center in the pool, ranked by (center, distance, cell), keeps
-        # its quota first; no other group changes.
-        gc = cand[pool]
-        new = np.diff(gc, prepend=-1) != 0
-        starts = np.flatnonzero(new)
-        rank = np.arange(pool.size) - starts[np.cumsum(new) - 1]
+        # Each center gc in the pool, ranked by (center, distance, cell),
+        # keeps its quota first; no other group changes.
         keep = rank < quota[gc]
         status[pool[keep]] = gc[keep]
-        active = np.r_[active, pool[~keep]]
+        active = np.concatenate((active, pool[~keep]))
         status[active] = UNCLAIMED
 
         # Group sizes / new cutoffs for the next candidates.
         heads = gc[starts]
-        sizes = np.diff(np.r_[starts, pool.size])
+        sizes = np.diff(starts, append=pool.size)
         worst = dcand[pool[starts + np.minimum(sizes, quota[heads]) - 1]]
         cutoff[heads] = np.where(sizes >= quota[heads], worst, np.inf)
 
@@ -273,11 +287,11 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         # else waits; once no listed cell applies, the waiting cells jump. A
         # cell that jumped is past its list for good, so it waits at once.
         past = jumped[active]
-        waiting, active = np.r_[waiting, active[past]], active[~past]
+        waiting, active = np.concatenate((waiting, active[past])), active[~past]
         if active.size:
             c, dc = _first_eligible(nbr[active], nbr_d[active], dcand[active], cand[active], cutoff)
             listed = c >= 0
-            waiting = np.r_[waiting, active[~listed]]
+            waiting = np.concatenate((waiting, active[~listed]))
             active = active[listed]
             cand[active], dcand[active] = c[listed], dc[listed]
         if active.size == 0 and waiting.size:
@@ -301,7 +315,10 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         touched = np.zeros(n_centers, dtype=bool)
         touched[cand[active]] = True
         claimed = np.flatnonzero(status >= 0)
-        pool = _ranked(np.r_[active, claimed[touched[status[claimed]]]], cand, dcand, n_centers)
+        pool = _ranked(np.concatenate((active, claimed[touched[status[claimed]]])),
+                       cand, dcand, n_centers)
+        gc = cand[pool]
+        starts, rank = _runs(gc)
         active = active[:0]
     else:
         raise AllocationError("deferred acceptance exceeded the round cap")

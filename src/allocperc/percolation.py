@@ -140,54 +140,64 @@ def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     # the cell holding the origin (the box center in open mode, the corner on a torus)
     origin = palm_origin(grid.domain)
     home = np.minimum(origin // h, np.asarray(shape) - 1).astype(np.int64)
+    oc = int(lab[tuple(home)])
+    hull = None if grid.domain.periodic or oc < 0 else _hull_cells(lab == oc)
+
+    def cells(member):  # in a box only the hull cells of the cluster can be farthest
+        return multi[member] if hull is None else hull
 
     def reach(member):
-        dorig = distance(origin[None, :], (multi[member] + 0.5) * h, grid.domain)
+        dorig = distance(origin[None, :], (cells(member) + 0.5) * h, grid.domain)
         return float(dorig.max() + h * math.sqrt(d) / 2)
 
     report = _census(labels[on], multi == 0, multi == np.asarray(shape) - 1,
-                     grid.domain.periodic, int(lab[tuple(home)]), reach,
-                     lambda member: _component_diameter(multi[member], grid))
+                     grid.domain.periodic, oc, reach,
+                     lambda member: _component_diameter(cells(member), grid))
     return replace(report, labels=labels)
+
+
+def _hull_cells(cluster: np.ndarray) -> np.ndarray:
+    """The (m, d) indices, in C order, of the cells of the boolean grid
+    cluster that are its first or last on every axis line through them.
+
+    They hold the vertices of the hull of the cluster's midpoints, hence the
+    member farthest from any point and the farthest pair of members: a
+    vertex lies strictly between no two members, so on an axis line through
+    it no member lies on each side of it.
+    """
+    hull = cluster.copy()
+    for ax, n in enumerate(cluster.shape):
+        ends = np.zeros_like(cluster)
+        for idx in (np.argmax(cluster, axis=ax), n - 1 - np.argmax(np.flip(cluster, ax), axis=ax)):
+            np.put_along_axis(ends, np.expand_dims(idx, ax), True, ax)
+        hull &= ends
+    return np.argwhere(hull)
 
 
 def _component_diameter(cells: np.ndarray, grid: SiteGrid) -> float:
     """Largest distance between the midpoints of the (m, d) index vectors
-    cells, plus the cell diagonal h*sqrt(d).
+    cells, plus the cell diagonal h*sqrt(d): shift k on an axis of n cells
+    has length min(k, n - k)*h on a torus and k*h in a box.
 
-    The member pairs differ by the shifts at which the circular
-    autocorrelation of the cells' indicator is positive (it counts the
-    pairs, so it exceeds 0.5 exactly there). On a torus it runs on the cell
-    grid. In an open box it runs on the cells' bounding box, padded on an
-    axis where they span e to the least length >= 2e - 1 with no prime factor
-    past 5, a fast FFT length: on any length >= 2e - 1 the circular
-    autocorrelation is the linear one. Either way, shift k on an axis of n
-    cells has length min(k, n - k)*h.
+    On a torus the member pairs differ by the shifts at which the circular
+    autocorrelation of the cells' indicator on the cell grid is positive (it
+    counts the pairs, so it exceeds 0.5 exactly there). In a box it scans
+    the pairs of cells, in blocks of about geometry.BLOCK pairs.
     """
+    h = grid.spacing
     if grid.domain.periodic:
         shape = grid.shape
+        cube = np.zeros(shape)
+        cube[tuple(cells.T)] = 1.0
+        spectrum = np.fft.rfftn(cube)
+        pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=shape, axes=range(len(shape))) > 0.5
+        sq = sum((np.minimum(k, n - k) * h) ** 2 for k, n in zip(np.nonzero(pairs), shape)).max()
     else:
-        cells = cells - cells.min(axis=0)
-        shape = tuple(_fast_len(int(n)) for n in 2 * cells.max(axis=0) + 1)
-    cube = np.zeros(shape)
-    cube[tuple(cells.T)] = 1.0
-    spectrum = np.fft.rfftn(cube)
-    pairs = np.fft.irfftn(spectrum * spectrum.conj(), s=shape, axes=range(len(shape))) > 0.5
-    h = grid.spacing
-    sq = sum((np.minimum(k, n - k) * h) ** 2 for k, n in zip(np.nonzero(pairs), shape))
-    return float(np.sqrt(sq.max()) + h * math.sqrt(len(shape)))
-
-
-def _fast_len(n: int) -> int:
-    """The least length >= n with no prime factor past 5."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+        step = max(1, geometry.BLOCK // len(cells))
+        sq = max(sum((np.abs(cells[s:s + step, None, ax] - cells[None, :, ax]) * h) ** 2
+                     for ax in range(cells.shape[1])).max()
+                 for s in range(0, len(cells), step))
+    return float(np.sqrt(sq) + h * math.sqrt(cells.shape[1]))
 
 
 def claimed_components(alloc: AllocationResult, grid: SiteGrid) -> ClusterReport:

@@ -322,6 +322,16 @@ def test_duplicated_and_zero_quota_centers_match_dense(monkeypatch, k, periodic)
     appetites[::4] = 0.0
     alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
     assert np.all(alloc.territory_volumes[::4] == 0.0)
+    # the next scale, on the warm lists: centers of quota 0 that are some
+    # cells' certified nearest (k = 1 certifies none) now have room
+    lists = allocation._memo.entry[1]
+    assert k == 1 or np.any(lists.c1 % 4 == 0)
+    appetites[::4] = 1.0
+    config = PointConfiguration(centers, appetites)
+    warm = assert_matches_dense(config, grid)
+    assert allocation._memo.entry[1] is lists
+    allocation._memo.entry = None  # a cold solve makes the same rounds
+    assert gale_shapley(config, grid).counters == warm.counters
 
 
 def test_first_eligible_takes_the_next_key_in_distance_index_order():

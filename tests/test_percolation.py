@@ -440,20 +440,6 @@ def test_crossing_flags_on_a_strip():
     assert not report.crossing_axes[0, 1]
 
 
-def row_extreme_diameter(cluster, h):
-    """Largest midpoint distance of a 2-d cell cluster plus the cell diagonal,
-    by brute force over the leftmost and rightmost cell of every row: each
-    vertex of the hull, hence each end of the farthest pair, is one of them."""
-    ends = []
-    for i, row in enumerate(cluster):
-        cols = np.flatnonzero(row)
-        if cols.size:
-            ends += [(i, cols[0]), (i, cols[-1])]
-    p = (np.asarray(ends) + 0.5) * h
-    diff = p[:, None, :] - p[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=-1)).max()) + h * math.sqrt(2)
-
-
 @pytest.mark.parametrize("periodic, want", [(False, 30.0), (True, 15.25)])
 def test_origin_diameter_of_a_full_box(periodic, want):
     # no cell of a full box has a face-neighbour outside the cluster
@@ -470,18 +456,27 @@ def test_origin_diameter_of_an_edge_touching_cluster():
     report = claimed_components(alloc, grid)
     cluster = (report.labels == report.origin_component).reshape(grid.shape)
     assert cluster.sum() > 4000 and cluster[0].any()
-    assert report.diameter == pytest.approx(row_extreme_diameter(cluster, 0.25), rel=1e-12)
+    assert report.diameter == pytest.approx(all_pairs_diameter(cluster, 0.25, False), rel=1e-12)
     assert report.diameter == pytest.approx(42.43, abs=0.005)
+    for e in (12, 120):  # a random cluster through a full middle row and column
+        grid = SiteGrid(domain=Domain(sides=(e * 0.25,) * 2, periodic=False), spacing=0.25)
+        mask = np.random.default_rng(e).random(grid.shape) < 0.5
+        mask[e // 2, :] = mask[:, e // 2] = True
+        report = mask_components(mask, grid)
+        cluster = (report.labels == report.origin_component).reshape(grid.shape)
+        assert report.diameter == pytest.approx(all_pairs_diameter(cluster, 0.25, False),
+                                                rel=1e-12)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_origin_diameter_of_one_cell(periodic):
-    grid = SiteGrid(domain=Domain(sides=(4.0, 4.0), periodic=periodic), spacing=0.5)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[(0, 0) if periodic else (4, 4)] = True  # the cell holding the origin
-    report = mask_components(mask, grid)
-    assert report.origin_component == 0
-    assert report.diameter == pytest.approx(0.5 * math.sqrt(2), rel=1e-12)
+    for d in (2, 3):
+        grid = SiteGrid(domain=Domain(sides=(4.0,) * d, periodic=periodic), spacing=0.5)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[(0 if periodic else 4,) * d] = True  # the cell holding the origin
+        report = mask_components(mask, grid)
+        assert report.origin_component == 0
+        assert report.diameter == pytest.approx(0.5 * math.sqrt(d), rel=1e-12)
 
 
 def test_periodic_origin_diameter_of_a_torus_with_one_hole():
@@ -496,76 +491,85 @@ def test_periodic_origin_diameter_of_a_torus_with_one_hole():
 
 def all_pairs_diameter(cluster, h, periodic):
     """Largest midpoint distance (minimum-image on a periodic grid) over all
-    pairs of cells of a cluster, from integer index differences, plus h*sqrt(d)."""
-    idx = np.argwhere(cluster)
-    n = np.asarray(cluster.shape)
-    diff = np.abs(idx[:, None, :] - idx[None, :, :])
-    steps = (np.minimum(diff, n - diff) if periodic else diff) * h
-    return float(np.sqrt((steps ** 2).sum(axis=-1)).max()) + h * math.sqrt(cluster.ndim)
+    pairs of cells of a cluster, from integer index differences, plus
+    h*sqrt(d); 256 cells against all at a time."""
+    idx = np.argwhere(cluster).astype(np.int32)
+    far = 0
+    for s in range(0, len(idx), 256):
+        sq = 0
+        for ax, n in enumerate(cluster.shape):
+            diff = np.abs(idx[s:s + 256, None, ax] - idx[None, :, ax])
+            if periodic:
+                diff = np.minimum(diff, n - diff)
+            sq = sq + diff * diff
+        far = max(far, int(sq.max()))
+    return math.sqrt(far) * h + h * math.sqrt(cluster.ndim)
+
+
+def all_members_reach(cluster, h, periodic):
+    """Largest distance from the origin (the box center, or the corner of a
+    torus) to the midpoint of a cell of a cluster, plus h*sqrt(d)/2."""
+    sides = np.asarray(cluster.shape) * h
+    delta = np.abs((np.argwhere(cluster) + 0.5) * h - (0.0 if periodic else sides / 2))
+    if periodic:
+        delta = np.minimum(delta, sides - delta)
+    return float(np.sqrt((delta ** 2).sum(axis=-1)).max()) + h * math.sqrt(cluster.ndim) / 2
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_periodic_origin_diameter_matches_all_pairs(seed):
+    # 25 masks a seed, each open and periodic: random boxes in d = 1-3, a
+    # one-row and a one-column box, and a 3-d diagonal staircase, every cell
+    # of which is the first or last on each axis line through it
     rng = np.random.default_rng(seed + 500)
-    d = 1 + seed % 3
-    shape = rng.integers(2, 12 if d < 3 else 6, size=d)
     h = 0.5
-    sides = tuple(float(m) * h for m in shape)
-    mask = rng.random(tuple(shape)) < rng.uniform(0.3, 0.9)
-    for periodic in (True, False):
-        grid = SiteGrid(domain=Domain(sides=sides, periodic=periodic), spacing=h)
-        m = mask.copy()
-        m[tuple(0 if periodic else n // 2 for n in shape)] = True  # the cell holding the origin
-        report = mask_components(m, grid)
-        cluster = (report.labels == report.origin_component).reshape(grid.shape)
-        assert report.diameter == pytest.approx(all_pairs_diameter(cluster, h, periodic),
-                                                rel=1e-12)
+    masks = []
+    for i in range(22):
+        d = 1 + i % 3
+        shape = tuple(rng.integers(1, 12 if d < 3 else 6, size=d))
+        masks.append(rng.random(shape) < rng.uniform(0.3, 0.9))
+    masks += [rng.random((1, 11)) < 0.7, rng.random((11, 1)) < 0.7]
+    n = 3 + seed % 5
+    level = np.indices((n,) * 3).sum(axis=0) - 3 * (n // 2)
+    masks.append((level == 0) | (level == 1 - 2 * (seed % 2)))
+    for mask in masks:
+        for periodic in (True, False):
+            grid = SiteGrid(domain=Domain(sides=tuple(h * m for m in mask.shape),
+                                          periodic=periodic), spacing=h)
+            m = mask.copy()
+            m[tuple(k // 2 for k in m.shape)] = True  # the cell holding the origin in a box,
+            if periodic:  # rolled to the corner on a torus
+                m = np.roll(m, [-(k // 2) for k in m.shape], range(m.ndim))
+            report = mask_components(m, grid)
+            cluster = (report.labels == report.origin_component).reshape(grid.shape)
+            assert report.diameter == pytest.approx(all_pairs_diameter(cluster, h, periodic),
+                                                    rel=1e-12)
+            assert report.max_origin_distance == pytest.approx(
+                all_members_reach(cluster, h, periodic), rel=1e-12)
 
 
-@pytest.mark.parametrize("cells, fft_cells, want", [
-    ([(4, 4, 4)], 1, 0.0),  # one cell: prod(2e - 1) = 1, not the 4096 of a padded box
-    ([(4, 4, 4), (4, 5, 4), (4, 6, 4), (5, 6, 4)], 3 * 5 * 1, math.sqrt(1.0 + 0.25)),
-], ids=["one-cell", "l-shape"])
-def test_open_diameter_pads_only_the_component_box(cells, fft_cells, want, monkeypatch):
+def test_a_box_census_scans_its_hull_cells_and_a_torus_one_grid_fft(monkeypatch):
+    # in a box the census reads only the cells first or last on every axis
+    # line (a full box's corners, an L's three corners); a torus autocorrelates
+    ffts, scanned = [], []
+    real_rfftn, real_diameter = np.fft.rfftn, percolation._component_diameter
+    monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
+        ffts.append(np.shape(a)) or real_rfftn(a, *args, **kwargs)))
+    monkeypatch.setattr(percolation, "_component_diameter", lambda cells, grid: (
+        scanned.append(cells.tolist()) or real_diameter(cells, grid)))
+    e, h = 12, 0.25
+    for periodic in (False, True):
+        grid = SiteGrid(domain=Domain(sides=(e * h,) * 2, periodic=periodic), spacing=h)
+        mask_components(np.ones(grid.shape, dtype=bool), grid)
+    assert ffts == [(e, e)]
+    assert scanned[0] == [[0, 0], [0, e - 1], [e - 1, 0], [e - 1, e - 1]]
+    assert len(scanned[1]) == e * e
     grid = SiteGrid(domain=Domain(sides=(4.0,) * 3, periodic=False), spacing=0.5)
     mask = np.zeros(grid.shape, dtype=bool)
-    mask[tuple(np.transpose(cells))] = True
-    real_rfftn = np.fft.rfftn
-    sizes = []
-
-    def spy(a, *args, **kwargs):
-        sizes.append(np.asarray(a).size)
-        return real_rfftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfftn", spy)
+    mask[tuple(np.transpose([(4, 4, 4), (4, 5, 4), (4, 6, 4), (5, 6, 4)]))] = True
     report = mask_components(mask, grid)
-    assert report.origin_component == 0
-    assert sizes == [fft_cells]
-    assert report.diameter == pytest.approx(want + 0.5 * math.sqrt(3), rel=1e-12)
-
-
-@pytest.mark.parametrize("e", [12, 120])
-def test_open_diameter_on_a_fast_fft_length(e, monkeypatch):
-    # one component spans the e x e box; 2e - 1 (23, 239) is prime, so the
-    # autocorrelation runs on 2e (24 = 2^3 3, 240 = 2^4 3 5) cells an axis
-    h = 0.25
-    grid = SiteGrid(domain=Domain(sides=(e * h, e * h), periodic=False), spacing=h)
-    mask = np.random.default_rng(e).random(grid.shape) < 0.5
-    mask[e // 2, :] = mask[:, e // 2] = True
-    first = mask_components(mask, grid)
-    mask = first.labels.reshape(grid.shape) == first.origin_component
-    real_rfftn = np.fft.rfftn
-    shapes = []
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real_rfftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfftn", spy)
-    report = mask_components(mask, grid)
-    assert report.n_components == 1 and report.origin_component == 0
-    assert shapes == [(2 * e, 2 * e)]
-    assert report.diameter == pytest.approx(row_extreme_diameter(mask, h), rel=1e-12)
+    assert scanned[2] == [[4, 4, 4], [4, 6, 4], [5, 6, 4]] and len(ffts) == 1
+    assert report.diameter == pytest.approx(math.sqrt(1.25) + 0.5 * math.sqrt(3), rel=1e-12)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
