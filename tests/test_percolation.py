@@ -548,28 +548,57 @@ def test_periodic_origin_diameter_matches_all_pairs(seed):
                 all_members_reach(cluster, h, periodic), rel=1e-12)
 
 
-def test_a_box_census_scans_its_hull_cells_and_a_torus_one_grid_fft(monkeypatch):
-    # in a box the census reads only the cells first or last on every axis
-    # line (a full box's corners, an L's three corners); a torus autocorrelates
+def spy_census(monkeypatch):
+    """Record the shape of each FFT and the cells each diameter scan reads."""
     ffts, scanned = [], []
     real_rfftn, real_diameter = np.fft.rfftn, percolation._component_diameter
     monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
         ffts.append(np.shape(a)) or real_rfftn(a, *args, **kwargs)))
     monkeypatch.setattr(percolation, "_component_diameter", lambda cells, grid: (
         scanned.append(cells.tolist()) or real_diameter(cells, grid)))
-    e, h = 12, 0.25
+    return ffts, scanned
+
+
+@pytest.mark.parametrize("cells, hull, want", [
+    ([(4, 4, 4)], [[4, 4, 4]], 0.0),
+    ([(4, 4, 4), (4, 5, 4), (4, 6, 4), (5, 6, 4)], [[4, 4, 4], [4, 6, 4], [5, 6, 4]],
+     math.sqrt(1.0 + 0.25)),
+], ids=["one-cell", "l-shape"])
+def test_open_diameter_pads_only_the_component_box(cells, hull, want, monkeypatch):
+    # in a box no FFT pads even the component's bounding box: the census reads
+    # only the cells first or last on every axis line (an L's three corners)
+    grid = SiteGrid(domain=Domain(sides=(4.0,) * 3, periodic=False), spacing=0.5)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[tuple(np.transpose(cells))] = True
+    ffts, scanned = spy_census(monkeypatch)
+    report = mask_components(mask, grid)
+    assert report.origin_component == 0
+    assert ffts == [] and scanned == [hull]
+    assert report.diameter == pytest.approx(want + 0.5 * math.sqrt(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("e", [12, 120])
+def test_open_diameter_on_a_fast_fft_length(e, monkeypatch):
+    # one component spans the e x e box; 2e - 1 (23, 239) is prime, but a box
+    # runs no FFT (a full box reads its 4 corners) and a torus autocorrelates
+    # on its own grid, e (12 = 2^2 3, 120 = 2^3 3 5) cells an axis
+    h = 0.25
+    grid = SiteGrid(domain=Domain(sides=(e * h, e * h), periodic=False), spacing=h)
+    mask = np.random.default_rng(e).random(grid.shape) < 0.5
+    mask[e // 2, :] = mask[:, e // 2] = True
+    first = mask_components(mask, grid)
+    mask = first.labels.reshape(grid.shape) == first.origin_component
+    ffts, scanned = spy_census(monkeypatch)
+    report = mask_components(mask, grid)
+    assert report.n_components == 1 and report.origin_component == 0
+    assert ffts == []
+    assert report.diameter == pytest.approx(all_pairs_diameter(mask, h, False), rel=1e-12)
     for periodic in (False, True):
         grid = SiteGrid(domain=Domain(sides=(e * h,) * 2, periodic=periodic), spacing=h)
         mask_components(np.ones(grid.shape, dtype=bool), grid)
     assert ffts == [(e, e)]
-    assert scanned[0] == [[0, 0], [0, e - 1], [e - 1, 0], [e - 1, e - 1]]
-    assert len(scanned[1]) == e * e
-    grid = SiteGrid(domain=Domain(sides=(4.0,) * 3, periodic=False), spacing=0.5)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[tuple(np.transpose([(4, 4, 4), (4, 5, 4), (4, 6, 4), (5, 6, 4)]))] = True
-    report = mask_components(mask, grid)
-    assert scanned[2] == [[4, 4, 4], [4, 6, 4], [5, 6, 4]] and len(ffts) == 1
-    assert report.diameter == pytest.approx(math.sqrt(1.25) + 0.5 * math.sqrt(3), rel=1e-12)
+    assert scanned[1] == [[0, 0], [0, e - 1], [e - 1, 0], [e - 1, e - 1]]
+    assert len(scanned[2]) == e * e
 
 
 @pytest.mark.parametrize("periodic", [False, True])
