@@ -188,12 +188,20 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
 
 
 def _ranked(cells, center, dist, n_centers):
-    """cells in (center[cell], dist[cell], cell) order: sorted by cell, then
-    stably by distance, then stably by center in the narrowest unsigned type
-    that holds n_centers, which numpy sorts by radix."""
-    cells = np.sort(cells)
-    cells = cells[np.argsort(dist[cells], kind="stable")]
-    return cells[np.argsort(center[cells].astype(np.min_scalar_type(n_centers)), kind="stable")]
+    """cells in (center[cell], dist[cell], cell) order, whatever their input
+    order: sorted by distance with numpy's default sort (unstable; a SIMD
+    kernel where the CPU has one), then stably by center in the narrowest
+    unsigned type that holds n_centers, which numpy sorts by radix; then each
+    run of equal (center, distance) is put in cell order by one lexsort over
+    the tied entries only."""
+    cells = cells[np.argsort(dist[cells])]
+    cells = cells[np.argsort(center[cells].astype(np.min_scalar_type(n_centers)), kind="stable")]
+    c, d = center[cells], dist[cells]
+    tie = (c[1:] == c[:-1]) & (d[1:] == d[:-1])
+    if tie.any():
+        t = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+        cells[t] = cells[t[np.lexsort((cells[t], d[t], c[t]))]]
+    return cells
 
 
 def _runs(g):
@@ -289,7 +297,8 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
         past = jumped[active]
         waiting, active = np.concatenate((waiting, active[past])), active[~past]
         if active.size:
-            c, dc = _first_eligible(nbr[active], nbr_d[active], dcand[active], cand[active], cutoff)
+            c, dc = _first_eligible(np.take(nbr, active, axis=0), np.take(nbr_d, active, axis=0),
+                                    dcand[active], cand[active], cutoff)
             listed = c >= 0
             waiting = np.concatenate((waiting, active[~listed]))
             active = active[listed]
@@ -300,7 +309,8 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             # cell's last certified entry.
             lo_d, lo_c = dcand[waiting], cand[waiting]
             last = plen[waiting] - 1
-            ld, lc = nbr_d[waiting, last], nbr[waiting, last]
+            at = waiting * nbr.shape[1] + np.maximum(last, 0)  # flat; later masks last < 0
+            ld, lc = np.take(nbr_d, at), np.take(nbr, at)
             later = (last >= 0) & ((ld > lo_d) | ((ld == lo_d) & (lc > lo_c)))
             c, dc = _next_key(cells[waiting], np.where(later, ld, lo_d),
                               np.where(later, lc, lo_c), centers, domain, cutoff)
@@ -312,10 +322,10 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
             break
 
         # The next pool: the applicants and the cells their centers hold.
-        touched = np.zeros(n_centers, dtype=bool)
+        # touched's last entry is UNCLAIMED's, and stays False.
+        touched = np.zeros(n_centers + 1, dtype=bool)
         touched[cand[active]] = True
-        claimed = np.flatnonzero(status >= 0)
-        pool = _ranked(np.concatenate((active, claimed[touched[status[claimed]]])),
+        pool = _ranked(np.concatenate((active, np.flatnonzero(touched[status]))),
                        cand, dcand, n_centers)
         gc = cand[pool]
         starts, rank = _runs(gc)

@@ -348,17 +348,25 @@ def test_first_eligible_takes_the_next_key_in_distance_index_order():
 
 
 @pytest.mark.parametrize("n_cells,n_centers", [(0, 3), (1, 1), (600, 7), (3000, 300),
-                                               (2000, 70_000)])
+                                               (2000, 70_000), ("ties", 16)])
 def test_ranked_is_the_lexsort_by_center_distance_cell(n_cells, n_centers):
     # few distinct distances, so most cells of a center tie; past 65 535
-    # centers the center keys sort as uint32
-    rng = replica_rng(41, n_cells)
-    size = n_cells + 50
-    center = rng.integers(0, n_centers, size)
-    dist = rng.integers(0, 4, size) * 0.5
-    cells = rng.permutation(size)[:n_cells]
+    # centers the center keys sort as uint32; "ties": the cells are the
+    # (point, center) pairs of _jump_states("ties"), whose float distances
+    # tie by lattice symmetry. The distance sort is unstable, so the output
+    # must not depend on the input order.
+    if n_cells == "ties":
+        dist = _jump_states("ties")[-1].ravel()
+        center, n_cells = np.arange(dist.size) % n_centers, dist.size - 50
+        rng = replica_rng(41, n_cells)
+    else:
+        rng = replica_rng(41, n_cells)
+        center = rng.integers(0, n_centers, n_cells + 50)
+        dist = rng.integers(0, 4, n_cells + 50) * 0.5
+    cells = rng.permutation(n_cells + 50)[:n_cells]
     want = cells[np.lexsort((cells, dist[cells], center[cells]))]
-    assert np.array_equal(allocation._ranked(cells, center, dist, n_centers), want)
+    for order in (cells, cells[::-1], rng.permutation(cells)):
+        assert np.array_equal(allocation._ranked(order, center, dist, n_centers), want)
     assert n_centers < 65_536 or np.min_scalar_type(n_centers) == np.uint32
 
 
