@@ -152,12 +152,12 @@ def cell_quotas(appetites: np.ndarray, cell_volume: float) -> np.ndarray:
 
 
 class _Lists(SimpleNamespace):
-    """Solve state that depends only on (grid, centers), all read-only: cells,
-    each cell's PREF_K-nearest list nbr, nbr_d (inf past its certified
-    prefix) and length plen; first, the cells with a certified nearest
-    center in (center, distance, cell) order, with that center c1, its
-    distance d1 and each cell's rank1 in its center's run of first; and
-    rest, the cells with no certified entry. Round 1 is first and rest."""
+    """Solve state that depends only on (grid, centers), all read-only: the
+    cell midpoints cells; each cell's PREF_K-nearest list nbr, with
+    distances nbr_d (inf past its certified prefix) and that prefix's length
+    plen; first, the cells with a certified nearest center (nbr[:, 0]) in
+    (center, distance, cell) order; and rest, the cells with none. Round 1
+    is first and rest."""
 
 
 def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
@@ -177,10 +177,8 @@ def _lists(centers: np.ndarray, grid: SiteGrid) -> _Lists:
                                                         centers, grid.domain)
     plen = np.count_nonzero(nbr_d < np.inf, axis=1)
     first = _ranked(np.flatnonzero(plen), nbr[:, 0], nbr_d[:, 0], len(centers))
-    c1, d1, rest = nbr[first, 0], nbr_d[first, 0], np.flatnonzero(plen == 0)
-    rank1 = _runs(c1)[1]
     lists = _Lists(cells=cells, nbr=nbr, nbr_d=nbr_d, plen=plen, first=first,
-                   c1=c1, d1=d1, rank1=rank1, rest=rest)
+                   rest=np.flatnonzero(plen == 0))
     for a in vars(lists).values():
         a.setflags(write=False)
     _memo.entry = (key, lists)
@@ -267,12 +265,12 @@ def gale_shapley(config: PointConfiguration, grid: SiteGrid) -> AllocationResult
     # skipping on them is safe, and a waiting cell stays past its list.
     cutoff = np.where(quota == 0, -np.inf, np.inf)
 
-    # Round 1, ranked: dropping the whole groups of zero-quota centers from
-    # first leaves every other cell's rank in its group.
-    ok = quota[lists.c1] > 0
-    pool, gc, rank = lists.first[ok], lists.c1[ok], lists.rank1[ok]
-    starts = np.flatnonzero(rank == 0)
-    cand[pool], dcand[pool] = gc, lists.d1[ok]
+    # Round 1, ranked: first less the whole groups of zero-quota centers.
+    c1 = nbr[lists.first, 0]
+    ok = quota[c1] > 0
+    pool, gc = lists.first[ok], c1[ok]
+    starts, rank = _runs(gc)
+    cand[pool], dcand[pool] = gc, nbr_d[pool, 0]
     active = np.sort(np.concatenate((lists.rest, lists.first[~ok])))  # apply next
     waiting = active[:0]  # cells past their list, held nowhere
     max_rounds = 10 * max(n_cells, 1)

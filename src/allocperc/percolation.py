@@ -4,6 +4,7 @@ origin-cluster statistics, and the critical-scale sweep."""
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -64,14 +65,14 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _census(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic: bool,
-            oc: int, reach, diameter) -> ClusterReport:
+            oc: int, reach: float, diameter: float) -> ClusterReport:
     """The report of n nodes with component labels numbered from 0.
 
     lo and hi are (n, d) flags of the nodes touching the low and high wall of
     each axis; a component crosses an axis when it holds one of each. On a
     torus nothing crosses, since wrap adjacency leaves no walls. oc is the
-    component holding the origin, or -1; reach and diameter map the members
-    of that component to their measures.
+    component holding the origin, or -1; reach and diameter are its measures,
+    0.0 when oc is -1.
     """
     k = int(labels.max(initial=-1)) + 1
     if periodic:
@@ -80,14 +81,9 @@ def _census(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray, periodic: bool,
         crossing = np.stack([(np.bincount(labels[lo[:, ax]], minlength=k) > 0)
                              & (np.bincount(labels[hi[:, ax]], minlength=k) > 0)
                              for ax in range(lo.shape[1])], axis=1)
-    if oc >= 0:
-        member = np.flatnonzero(labels == oc)
-        max_reach, diam = reach(member), diameter(member)
-    else:
-        max_reach, diam = 0.0, 0.0
     return ClusterReport(labels=labels, component_sizes=np.bincount(labels, minlength=k),
                          crossing_axes=crossing, origin_component=oc,
-                         max_origin_distance=max_reach, diameter=diam)
+                         max_origin_distance=reach, diameter=diameter)
 
 
 def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
@@ -99,19 +95,17 @@ def ball_components(model: BooleanModel, domain: Domain) -> ClusterReport:
     edges = ball_overlaps(model, domain)
     d_origin = distance(palm_origin(domain)[None, :], centers, domain)
     covering = d_origin < radii
-
-    def diameter(sub):
-        # Largest d_ij + r_i + r_j, over row blocks of about geometry.BLOCK pairs.
-        step = max(1, geometry.BLOCK // sub.size)
-        return max(float((distance(centers[sub[s:s + step], None], centers[sub][None], domain)
-                          + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
-                   for s in range(0, sub.size, step))
-
     labels = _components(model.n_balls, edges)
-    return _census(labels, centers - r <= 0.0,
-                   centers + r >= np.asarray(domain.sides), domain.periodic,
-                   int(labels[np.argmax(covering)]) if covering.any() else -1,
-                   lambda sub: float(np.max(d_origin[sub] + radii[sub])), diameter)
+    oc = int(labels[np.argmax(covering)]) if covering.any() else -1
+    sub = np.flatnonzero(labels == oc)  # empty when oc is -1
+    # Largest d_ij + r_i + r_j, over row blocks of about geometry.BLOCK pairs.
+    step = max(1, geometry.BLOCK // max(sub.size, 1))
+    diameter = max((float((distance(centers[sub[s:s + step], None], centers[sub][None], domain)
+                           + radii[sub[s:s + step], None] + radii[sub][None, :]).max())
+                    for s in range(0, sub.size, step)), default=0.0)
+    reach = float(np.max(d_origin[sub] + radii[sub], initial=0.0))
+    return _census(labels, centers - r <= 0.0, centers + r >= np.asarray(domain.sides),
+                   domain.periodic, oc, reach, diameter)
 
 
 def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
@@ -141,18 +135,14 @@ def mask_components(mask: np.ndarray, grid: SiteGrid) -> ClusterReport:
     origin = palm_origin(grid.domain)
     home = np.minimum(origin // h, np.asarray(shape) - 1).astype(np.int64)
     oc = int(lab[tuple(home)])
-    hull = None if grid.domain.periodic or oc < 0 else _hull_cells(lab == oc)
-
-    def cells(member):  # in a box only the hull cells of the cluster can be farthest
-        return multi[member] if hull is None else hull
-
-    def reach(member):
-        dorig = distance(origin[None, :], (cells(member) + 0.5) * h, grid.domain)
-        return float(dorig.max() + h * math.sqrt(d) / 2)
-
+    reach = diameter = 0.0
+    if oc >= 0:  # in a box only the hull cells of the cluster can be farthest
+        cells = multi[labels[on] == oc] if grid.domain.periodic else _hull_cells(lab == oc)
+        dorig = distance(origin[None, :], (cells + 0.5) * h, grid.domain)
+        reach = float(dorig.max() + h * math.sqrt(d) / 2)
+        diameter = _component_diameter(cells, grid)
     report = _census(labels[on], multi == 0, multi == np.asarray(shape) - 1,
-                     grid.domain.periodic, oc, reach,
-                     lambda member: _component_diameter(cells(member), grid))
+                     grid.domain.periodic, oc, reach, diameter)
     return replace(report, labels=labels)
 
 
@@ -266,10 +256,10 @@ def run_replica(domain: Domain, grid: SiteGrid, intensity: float,
 
 
 def map_ordered(fn, items, workers: int = 1) -> list:
-    """[fn(x) for x in items] on a pool of `workers` threads, in the order of
-    the items. The lists a task's thread keeps (allocation._memo) end with
-    the pool."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    """[fn(x) for x in items] in the order of the items, on a pool of
+    min(workers, len(items), CPUs) threads, at least one. The lists a task's
+    thread keeps (allocation._memo) end with the pool."""
+    with ThreadPoolExecutor(max(1, min(workers, len(items), os.cpu_count() or 1))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -20,7 +20,6 @@ from allocperc.allocation import (
     verify_stability,
 )
 from allocperc.appetite import AppetiteDistribution
-from allocperc.booleanmodel import build_boolean
 from allocperc.geometry import (
     Domain,
     GeometryError,
@@ -325,7 +324,7 @@ def test_duplicated_and_zero_quota_centers_match_dense(monkeypatch, k, periodic)
     # the next scale, on the warm lists: centers of quota 0 that are some
     # cells' certified nearest (k = 1 certifies none) now have room
     lists = allocation._memo.entry[1]
-    assert k == 1 or np.any(lists.c1 % 4 == 0)
+    assert k == 1 or np.any(lists.nbr[lists.first, 0] % 4 == 0)
     appetites[::4] = 1.0
     config = PointConfiguration(centers, appetites)
     warm = assert_matches_dense(config, grid)
@@ -942,17 +941,6 @@ def test_a_sweep_builds_one_list_per_replica(monkeypatch, workers):
     assert builds == [grid.n_cells] * 3
 
 
-def test_a_build_boolean_between_solves_keeps_the_lists(monkeypatch):
-    # a Boolean build keeps nothing in the lists memo, so the ladder's lists stay warm
-    builds = _spy_list_builds(monkeypatch)
-    grid, centers, draws, _ = _ladder_instance(4)
-    for s in (0.3, 0.9, 2.0):
-        config = PointConfiguration(centers, s * draws)
-        gale_shapley(config, grid)
-        build_boolean(config, grid.domain)
-    assert builds == [grid.n_cells]
-
-
 def test_patched_pref_k_or_block_rebuilds_the_lists(monkeypatch):
     builds = _spy_list_builds(monkeypatch)
     grid, centers, draws, _ = _ladder_instance(4)
@@ -987,11 +975,9 @@ def test_a_miss_frees_the_old_entry_before_the_build(monkeypatch):
 
 
 def test_the_lists_memo_compares_centers_by_shape_and_bytes():
-    grid, centers, draws, _ = _ladder_instance(4)
+    grid, centers, _, _ = _ladder_instance(4)
     lists = allocation._lists(centers, grid)
     assert allocation._lists(centers.copy(), grid) is lists  # equal bytes hit
-    build_boolean(PointConfiguration(centers, draws), grid.domain)
-    assert allocation._lists(centers, grid) is lists  # a Boolean build leaves the memo be
     key = allocation._memo.entry[0][:3]
     allocation._memo.entry = (key + ((centers.size, 1), centers.tobytes()), lists)
     assert allocation._lists(centers, grid) is not lists  # same bytes, other shape

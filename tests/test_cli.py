@@ -475,6 +475,18 @@ def test_deterministic_across_workers(subcommand, extra, args, tmp_path):
     assert runs[0] == runs[1] and runs[0]
 
 
+def test_a_huge_worker_count_gives_the_bytes_of_one(cfg_file, tmp_path):
+    # the pool asks for no more threads than tasks, so a million workers
+    # over three replicas start at most three
+    runs = []
+    for workers in ("1", "1000000"):
+        out = tmp_path / f"w{workers}"
+        assert main(["allocate", "--config", str(cfg_file), "--out", str(out),
+                     "--workers", workers, "--replicas", "3"]) == EXIT_OK
+        runs.append(hash_artifacts(out))
+    assert runs[0] == runs[1] and runs[0]
+
+
 _OVERFLOWING = {
     "pareto-0.05": "family = pareto\npareto_index = 0.05\n",
     "exponential-1e200": "family = exponential\nmean = 1e200\n",

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import weakref
 from dataclasses import replace
@@ -174,6 +175,8 @@ def test_ball_components_same_from_the_build_rows_as_from_a_kd_tree(d, periodic,
     for config, dom in built_models(d, periodic):
         model = build_boolean(config, dom)
         assert calls.pop() == config.n_centers  # the radius kernel's tree
+        compute_radius(0, config, dom)
+        assert calls.pop() == config.n_centers  # one tree per radius call
         warm = ball_components(model, dom)
         assert calls == []  # the edges came from the build
         cold = ball_components(replace(model), dom)
@@ -248,47 +251,6 @@ def test_build_rows_of_no_center_or_one(n, monkeypatch):
     assert report.n_components == n and report.labels.tolist() == [0] * n
     assert report.origin_component == n - 1  # the one ball covers the box center
     assert len(calls) == 1 - n  # a build of no center derives no edges
-
-
-def test_compute_radius_keeps_the_build_rows(monkeypatch):
-    calls = spy_kd_trees(monkeypatch)
-    (config, dom), (other, _) = list(built_models(2, True))[:2]
-    model = build_boolean(config, dom)
-    compute_radius(0, other, dom)
-    compute_radius(1, config, dom)
-    ball_components(model, dom)
-    # the trees of the build and the two radii only: the radii leave its edges be
-    assert calls == [config.n_centers, other.n_centers, config.n_centers]
-
-
-def test_a_solve_keeps_the_build_rows(monkeypatch):
-    # a solve keeps nothing on the model, so its edges outlast the solve
-    calls = spy_kd_trees(monkeypatch)
-    config, dom = next(built_models(2, False))
-    model = build_boolean(config, dom)
-    gale_shapley(config, SiteGrid(domain=dom, spacing=0.5))
-    ball_components(model, dom)
-    assert calls == [config.n_centers]  # the build's radius tree only
-
-
-def test_build_rows_stay_with_their_thread(monkeypatch):
-    # each thread labels the model it built from that model's edges, however
-    # the threads interleave
-    configs = list(built_models(2, False))
-    want = [ball_components(build_boolean(config, dom), dom).labels for config, dom in configs]
-    calls = spy_kd_trees(monkeypatch)
-
-    def task(config_dom):
-        config, dom = config_dom
-        return ball_components(build_boolean(config, dom), dom).labels
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        got = percolation.map_ordered(task, configs, workers=3)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(calls) == sorted(config.n_centers for config, _ in configs)  # builds only
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("block", [geometry.BLOCK, 7])
@@ -761,6 +723,33 @@ def test_every_worker_count_runs_on_the_pool_and_keeps_nothing_in_the_caller(mon
         assert np.array_equal(got.indicators, sweeps[0].indicators)
         assert np.array_equal(got.counters, sweeps[0].counters)
     assert checks[1:] == checks[:1] * 2 and len(checks[0]) == 2
+
+
+@pytest.mark.parametrize("workers, n, cpus, want", [
+    (10 ** 6, 5, 3, 3), (10 ** 6, 5, 64, 5), (10 ** 6, 0, 3, 1), (10 ** 6, 5, None, 1),
+    (2, 5, 64, 2), (1, 5, 3, 1),
+])
+def test_the_pool_has_no_more_threads_than_tasks_or_cpus(workers, n, cpus, want, monkeypatch):
+    # a fake executor records the thread count asked for and runs the tasks inline
+    asked = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(percolation, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert percolation.map_ordered(lambda x: 2 * x, range(n), workers) == [2 * x for x in range(n)]
+    assert asked == [want]
 
 
 def test_a_task_kept_build_dies_with_the_pool():
