@@ -23,7 +23,6 @@ from .geometry import (
     distance,
     kd_tree,
     nearest,
-    nearest_until,
     replica_rng,
     sample_poisson,
     within,
@@ -32,7 +31,7 @@ from .geometry import (
 UNCLAIMED = -1
 
 PREF_K = 8  # nearest centers listed per cell
-_LEAF = 16  # cKDTree's default leafsize: _next_key scans up to this many open centers densely
+_LEAF = 16  # cKDTree's default leafsize: _next_key uses a kd-tree past this many open centers
 _memo = threading.local()  # entry: this thread's one (key, _Lists), or None
 
 
@@ -368,31 +367,32 @@ def _next_key(pts, lo_d, lo_c, centers, domain, cutoff):
     A cell is rejected only by a full center and skips only full ones, and a
     full center stays full, so every center at or before its key is full.
     The answer is then the smaller key of (A) the nearest center not full:
-    the argmin of its dense distance row when at most _LEAF centers are open,
-    else the first entry of its geometry.nearest_until row over them, settled
-    once that entry is finite (below the row's bound); and (B) the nearest
-    full center whose cutoff ball (geometry.within, over a kd-tree of only
-    the points whose key distance is within the largest such cutoff) holds
-    the point at a key after (lo_d, lo_c).
+    the first entry of the point's geometry.nearest row at k = 2 over the
+    open centers, where more than _LEAF are open and that entry is finite
+    (below the row's bound), else the argmin of its dense distance row over
+    them (at most _LEAF are open, or the two entries tie within rounding);
+    and (B) the nearest full center whose cutoff ball (geometry.within, over
+    a kd-tree of only the points whose key distance is within the largest
+    such cutoff) holds the point at a key after (lo_d, lo_c).
     """
     best_c = np.full(len(pts), -1, dtype=np.int64)
     best_d = np.full(len(pts), np.inf)
     open_ = np.flatnonzero(cutoff == np.inf)
-
-    def first(rows, nbr, d, bound, k):
-        done = d[:, 0] < np.inf
-        best_c[rows[done]], best_d[rows[done]] = open_[nbr[done, 0]], d[done, 0]
-        return done
-
     others = centers[open_]
+    rest = np.arange(len(pts) if open_.size else 0)  # the rows the dense scan answers
     if open_.size > _LEAF:
-        nearest_until(kd_tree(others, domain), pts, others, domain, first)
-    elif open_.size:  # columns in index order: argmin takes the lower index of a tie
-        step = max(1, geometry.BLOCK // open_.size)
+        tree, step = kd_tree(others, domain), max(1, geometry.BLOCK // 2)
         for s in range(0, len(pts), step):
-            d = distance(pts[s:s + step, None], others[None], domain)
-            j = np.argmin(d, axis=1)
-            best_c[s:s + step], best_d[s:s + step] = open_[j], d[np.arange(len(j)), j]
+            nbr, d, _ = nearest(tree, pts[s:s + step], 2, others, domain)
+            best_c[s:s + step], best_d[s:s + step] = open_[nbr[:, 0]], d[:, 0]
+        rest = np.flatnonzero(best_d == np.inf)  # two open centers tied within rounding
+    # columns in index order: argmin takes the lower index of a tie
+    step = max(1, geometry.BLOCK // max(open_.size, 1))
+    for s in range(0, rest.size, step):
+        r = rest[s:s + step]
+        d = distance(pts[r, None], others[None], domain)
+        j = np.argmin(d, axis=1)
+        best_c[r], best_d[r] = open_[j], d[np.arange(len(j)), j]
 
     # Only a cutoff at or past some point's key can hold that point after it.
     g = np.flatnonzero((cutoff < np.inf) & (cutoff >= max(lo_d.min(), 0.0)))

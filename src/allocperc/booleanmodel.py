@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .allocation import AllocationResult, PointConfiguration, SiteGrid
-from .geometry import Domain, distance, kd_tree, nearest_until, unit_ball_volume, within
+from .geometry import Domain, distance, kd_tree, nearest, unit_ball_volume, within
 
 
 class BooleanModelError(ValueError):
@@ -55,47 +55,50 @@ def _radii(config: PointConfiguration, domain: Domain, which: np.ndarray):
     """Dominating radii of the centers indexed by which.
 
     A radius r depends only on the centers within 2r, so each center sweeps
-    its row of k nearest centers (geometry.nearest_until), exact below the
-    row's bound. k starts at 2, the center and its nearest neighbour, and
-    doubles until the row's first root r has 2r < bound, or the row holds
-    every center. A row holds the distances of the dense matrix in
-    (distance, index) order, so ties and floats match a full-row sweep. Also
-    returns the rows' entries below 2r as (i, j, distance) arrays, or None
-    where they exceed geometry.BLOCK triples.
+    its row of k nearest centers (geometry.nearest), exact below the row's
+    bound. k starts at 2, the center and its nearest neighbour, and doubles
+    for the rows whose first root r has 2r at or past the bound, until the
+    row holds every center; a pass at k runs in blocks of geometry.BLOCK // k
+    rows. A row holds the distances of the dense matrix in (distance, index)
+    order, so ties and floats match a full-row sweep. Also returns the rows'
+    entries below 2r as (i, j, distance) arrays, or None where they exceed
+    geometry.BLOCK triples.
     """
     if np.any(config.appetites <= 0):
         raise BooleanModelError(
             "dominating radii need every appetite > 0; raise the scale or the floor"
         )
     pi_d = unit_ball_volume(domain.dim)
-    out = np.empty(len(which))
-    rows = []
-
-    def sweep(own, nbr, sd, bound, k):
-        nonlocal rows
-        # The breakpoints are half distances. Entries at or past the bound
-        # have distance inf and get appetite 0, so they add nothing and open
-        # no interval.
-        cum = np.cumsum(np.where(sd < np.inf, config.appetites[nbr], 0.0), axis=1)
-        starts = sd / 2.0
-        ends = np.hstack([starts[:, 1:], np.full((len(own), 1), np.inf)])
-        roots = (cum / pi_d) ** (1.0 / domain.dim)
-        # Coincident breakpoints give empty intervals; skip them so the sum is
-        # the true closed-ball sum at the returned radius. The last entry ends
-        # at inf, so every row has a root.
-        first = np.argmax((roots < ends) & (starts < ends), axis=1)[:, None]
-        r = np.maximum(np.take_along_axis(starts, first, axis=1),
-                       np.take_along_axis(roots, first, axis=1))[:, 0]
-        # A full row is final even where an infinite appetite gives r = inf.
-        done = (2.0 * r < bound) | (bound == np.inf)
-        out[own[done]] = r[done]
-        near = done[:, None] & (sd < 2.0 * r[:, None])
-        fits = rows is not None and sum(len(x[0]) for x in rows) + near.sum() <= geometry.BLOCK
-        rows = rows + [(np.repeat(own, near.sum(axis=1)), nbr[near], sd[near])] if fits else None
-        return done
-
     centers = config.centers
-    nearest_until(kd_tree(centers, domain), centers[which], centers, domain, sweep)
+    tree, pts = kd_tree(centers, domain), centers[which]
+    out = np.empty(len(which))
+    rows, todo, k = [], np.arange(len(which)), 2
+    while todo.size:
+        again, step = [], max(1, geometry.BLOCK // k)
+        for s in range(0, todo.size, step):
+            own = todo[s:s + step]
+            nbr, sd, bound = nearest(tree, pts[own], k, centers, domain)
+            # The breakpoints are half distances. Entries at or past the
+            # bound have distance inf and get appetite 0, so they add
+            # nothing and open no interval.
+            cum = np.cumsum(np.where(sd < np.inf, config.appetites[nbr], 0.0), axis=1)
+            starts = sd / 2.0
+            ends = np.hstack([starts[:, 1:], np.full((len(own), 1), np.inf)])
+            roots = (cum / pi_d) ** (1.0 / domain.dim)
+            # Coincident breakpoints give empty intervals; skip them so the
+            # sum is the true closed-ball sum at the returned radius. The
+            # last entry ends at inf, so every row has a root.
+            first = np.argmax((roots < ends) & (starts < ends), axis=1)[:, None]
+            r = np.maximum(np.take_along_axis(starts, first, axis=1),
+                           np.take_along_axis(roots, first, axis=1))[:, 0]
+            # A full row is final even where an infinite appetite gives r = inf.
+            done = (2.0 * r < bound) | (bound == np.inf)
+            out[own[done]] = r[done]
+            near = done[:, None] & (sd < 2.0 * r[:, None])
+            fits = rows is not None and sum(len(x[0]) for x in rows) + near.sum() <= geometry.BLOCK
+            rows = rows + [(np.repeat(own, near.sum(axis=1)), nbr[near], sd[near])] if fits else None
+            again.append(own[~done])
+        todo, k = np.concatenate(again), 2 * k
     return out, tuple(map(np.concatenate, zip(*rows))) if rows else None
 
 

@@ -121,26 +121,6 @@ def nearest(tree: cKDTree, pts: np.ndarray, k: int, others: np.ndarray, domain: 
     return nbr, dist, bound
 
 
-def nearest_until(tree, pts, others, domain, settle, k=2):
-    """Asks nearest for each point's row at k, 2k, 4k, ... until settle
-    accepts it.
-
-    settle(rows, nbr, dist, bound, k) gets the indices into pts of a block
-    of rows with their nearest(tree, pts[rows], k, others, domain) answer,
-    records what it needs and returns the mask of rows it accepts; the rest
-    are asked again at 2k. It must accept a row whose bound is inf (the row
-    holds all of others). Each pass runs in blocks of BLOCK // k rows.
-    """
-    todo = np.arange(len(pts))
-    while todo.size:
-        again, step = [], max(1, BLOCK // k)
-        for s in range(0, todo.size, step):
-            rows = todo[s:s + step]
-            done = settle(rows, *nearest(tree, pts[rows], k, others, domain), k)
-            again.append(rows[~done])
-        todo, k = np.concatenate(again), 2 * k
-
-
 def within(tree, pts, r, others, domain):
     """The pairs (i, j) with distance(pts[i], others[j]) <= r[i], others
     being the points of tree, as blocks of (i, j, distance) arrays.

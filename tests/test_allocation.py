@@ -237,7 +237,7 @@ def test_dense_walk_names_no_solver_code():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not names & {"gale_shapley", "_lists", "_ranked", "_first_eligible", "_next_key",
-                        "kd_tree", "nearest", "nearest_until", "within", "kept", "keep", "_memo"}
+                        "kd_tree", "nearest", "within", "kept", "keep", "_memo"}
 
 
 def greedy_pass(config, grid):
@@ -493,28 +493,31 @@ def _jump_states(case):
 @pytest.mark.parametrize("case", ["ties", "many ties", "duplicates", "near ties", "at L",
                                   "none eligible", "past every cutoff"])
 def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block, case):
-    # path: how part (A) finds the nearest open center, by a dense scan of at
-    # most _LEAF open centers or by kd-tree rows; None when no center is open
-    path = {"many ties": "kd", "near ties": "kd", "none eligible": None}.get(case, "dense")
+    # paths: how part (A) finds the nearest open center, by a dense scan of
+    # at most _LEAF open centers, or by kd-tree rows at k = 2 whose tied rows
+    # then take the dense scan; none when no center is open
+    want_paths = {"many ties": {"kd", "dense"}, "near ties": {"kd", "dense"},
+                  "none eligible": set()}.get(case, {"dense"})
     monkeypatch.setattr(geometry, "BLOCK", block)
-    paths, trees = set(), []
-    real_distance, real_nearest_until, real_kd_tree = (
-        allocation.distance, allocation.nearest_until, allocation.kd_tree)
+    paths, trees, scanned = set(), [], []
+    real_distance, real_nearest, real_kd_tree = (
+        allocation.distance, allocation.nearest, allocation.kd_tree)
 
-    def dense(*args):
+    def dense(a, b, domain):
         paths.add("dense")
-        return real_distance(*args)
+        scanned.append(a[:, 0])
+        return real_distance(a, b, domain)
 
     def kd(*args):
         paths.add("kd")
-        return real_nearest_until(*args)
+        return real_nearest(*args)
 
     def kd_tree(points, domain):
         trees.append(points)
         return real_kd_tree(points, domain)
 
     monkeypatch.setattr(allocation, "distance", dense)
-    monkeypatch.setattr(allocation, "nearest_until", kd)
+    monkeypatch.setattr(allocation, "nearest", kd)
     monkeypatch.setattr(allocation, "kd_tree", kd_tree)
     pts, centers, dom, full, cutoff, dist = _jump_states(
         "duplicates" if case in ("none eligible", "past every cutoff") else case)
@@ -553,8 +556,14 @@ def test_next_key_is_the_first_eligible_key_of_the_dense_row(monkeypatch, block,
             assert np.any(got_d[got_c >= 0] == cutoff[hit]) or pos.max() >= 0
             assert case != "at L" or np.any(hit == len(centers) - 1)
     assert pos.max() >= 0
-    assert paths == ({path} if path else set())
-    assert (np.count_nonzero(cutoff == np.inf) > allocation._LEAF) == (path == "kd")
+    assert paths == want_paths
+    open_ = cutoff == np.inf
+    assert (np.count_nonzero(open_) > allocation._LEAF) == ("kd" in paths)
+    if "kd" in paths:  # only rows whose two nearest open centers tie within rounding
+        near2 = np.sort(distance(np.concatenate(scanned)[:, None], centers[open_][None], dom),
+                        axis=1)[:, :2]
+        gap, far = near2[:, 1] - near2[:, 0], np.maximum(near2[:, 1], 1.0)
+        assert len(near2) and np.all(gap <= 1e-12 * far)
     assert case != "past every cutoff" or trees == []  # no tree over points or centers
 
 
@@ -566,8 +575,8 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
     # dense scan of few open centers, which calls allocation.distance
     block = 64
     monkeypatch.setattr(geometry, "BLOCK", block)
-    sizes, dense, inside = [], [], []
-    real_next_key, real_nearest = allocation._next_key, geometry.nearest
+    sizes, dense, queried, inside = [], [], [], []
+    real_next_key, real_nearest = allocation._next_key, allocation.nearest
     real_distance = geometry.distance
 
     def next_key(*args):
@@ -580,6 +589,7 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
     def nearest(tree, pts, k, others, domain):
         if inside:
             sizes.append(len(pts) * min(k, len(others)))
+            queried.append(sizes[-1])
         return real_nearest(tree, pts, k, others, domain)
 
     def spy(into):
@@ -591,7 +601,7 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
         return distance
 
     monkeypatch.setattr(allocation, "_next_key", next_key)
-    monkeypatch.setattr(geometry, "nearest", nearest)
+    monkeypatch.setattr(allocation, "nearest", nearest)
     monkeypatch.setattr(geometry, "distance", spy(sizes))
     monkeypatch.setattr(allocation, "distance", spy(dense))
     dom = Domain(sides=(8.0, 8.0), periodic=False)
@@ -601,14 +611,17 @@ def test_jump_memory_is_linear_on_clustered_centers(monkeypatch):
     for n_centers, top in ((100, 1.2), (40, 4.0)):
         sizes.clear()
         dense.clear()
+        queried.clear()
         rng = replica_rng(23)
         centers = rng.random((n_centers, 2))
         appetites = rng.uniform(0.2, top, size=len(centers))
         alloc = assert_matches_dense(PointConfiguration(centers, appetites), grid)
         assert max(sizes + dense) <= max(block, grid.n_cells)
+        assert max(queried, default=0) <= block  # the tree pass: blocks of rows of 2
         if n_centers == 100:
             assert alloc.counters["beyond_list"] > grid.n_cells // 2
             assert sum(sizes) > 10 * grid.n_cells  # the jumps ran in many blocks
+            assert queried  # through the tree pass
         else:
             assert dense  # a jump scanned its few open centers densely
 
@@ -828,6 +841,11 @@ def test_appetite_below_0_or_not_a_number_is_rejected(bad):
         PointConfiguration(np.zeros((2, 2)), np.array([1.0, bad]))
 
 
+def test_one_appetite_per_center():
+    with pytest.raises(ValueError, match="2 centers but 3 appetites"):
+        PointConfiguration(np.zeros((2, 2)), np.ones(3))
+
+
 @pytest.mark.parametrize("sides, spacing", [
     ((4.0,), math.nan),
     ((4.0,), math.inf),
@@ -911,12 +929,15 @@ def test_memo_ladders_equal_cold_solves(monkeypatch):
 
 def _spy_list_builds(monkeypatch):
     """Record the rows of each list build: the allocation.nearest calls of one
-    build, a block each, share its kd-tree (the jump past the list calls
-    geometry.nearest through nearest_until)."""
+    build, a block each at k = PREF_K, share its kd-tree. The jump past the
+    list calls it at k = 2, so at a PREF_K of 2 a jump over more than _LEAF
+    open centers would count as a build."""
     trees, builds = [], []
     real = allocation.nearest
 
     def spy(tree, pts, *args):
+        if args[0] != allocation.PREF_K:
+            return real(tree, pts, *args)
         n = next((n for n, t in enumerate(trees) if t is tree), None)
         if n is None:  # a tree is built and queried by one thread
             trees.append(tree)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from allocperc import geometry
+from allocperc import booleanmodel, geometry
 from allocperc.allocation import PointConfiguration, SiteGrid, gale_shapley
 from allocperc.appetite import AppetiteDistribution, sample_appetites
 from allocperc.booleanmodel import (
@@ -255,12 +255,13 @@ def test_radius_memory_is_linear_on_heavy_tails(seed, monkeypatch):
     # call of the kernel covers more than max(block, one row) entries
     block = 64
     monkeypatch.setattr(geometry, "BLOCK", block)
-    real_nearest, real_distance = geometry.nearest, geometry.distance
-    sizes, widths = [], []
+    real_nearest, real_distance = booleanmodel.nearest, geometry.distance
+    sizes, widths, asked = [], [], {}
 
     def nearest(tree, pts, k, others, domain):
         sizes.append(len(pts) * min(k, len(others)))
         widths.append(min(k, len(others)))
+        asked[k] = asked.get(k, 0) + len(pts)
         return real_nearest(tree, pts, k, others, domain)
 
     def distance(a, b, domain):
@@ -268,7 +269,7 @@ def test_radius_memory_is_linear_on_heavy_tails(seed, monkeypatch):
         sizes.append(d.size)
         return d
 
-    monkeypatch.setattr(geometry, "nearest", nearest)
+    monkeypatch.setattr(booleanmodel, "nearest", nearest)
     monkeypatch.setattr(geometry, "distance", distance)
     config, dom = pareto_instance(seed)
     radii = build_boolean(config, dom).radii
@@ -278,6 +279,10 @@ def test_radius_memory_is_linear_on_heavy_tails(seed, monkeypatch):
     assert max(sizes) <= max(block, n)
     assert max(widths) == n  # some row holds every center
     assert sum(sizes) > 10 * n  # the kernel ran in many blocks
+    # each row is asked once at k = 2, then at each doubled k only until it settles
+    rows = [asked[k] for k in sorted(asked)]
+    assert sorted(asked) == [2 << i for i in range(len(asked))]
+    assert rows[0] == n and rows == sorted(rows, reverse=True)
 
 
 @pytest.mark.parametrize("block", [None, 1, 240])
@@ -346,6 +351,10 @@ def test_domination_negative_control():
         truncated=model.truncated,
     )
     assert check_domination(alloc, shrunk, config, grid) != []
+    one = BooleanModel(centers=model.centers[:1], radii=model.radii[:1],
+                       truncated=model.truncated[:1])
+    with pytest.raises(BooleanModelError, match="sizes disagree"):  # one ball, many centers
+        check_domination(alloc, one, config, grid)
 
 
 def test_tail_statistics_step_at_constant_radius():

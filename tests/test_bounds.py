@@ -107,3 +107,5 @@ def test_finiteness_threshold_values():
     assert finiteness_threshold(1.0, 2, 1.0) == pytest.approx(0.25)
     assert finiteness_threshold(2.0, 2, 1.0) == pytest.approx(0.125)
     assert finiteness_threshold(1.0, 1, 2.0) == pytest.approx(0.25)
+    with pytest.raises(BoundsError, match="inputs must be positive"):
+        finiteness_threshold(0.0, 2, 1.0)

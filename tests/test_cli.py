@@ -133,11 +133,21 @@ def test_boolean_outputs(tmp_path):
     # a box whose volume underflows to 0, which the claimed fraction divides by
     ("allocate", "sides = 1e-200,1e-200\nspacing = 1e-200\n"),
     ("sweep", "boundary = open\nsides = 1e-200,1e-200\nspacing = 1e-200\n"),
+    ("allocate", "a line without an equals sign\n"),
+    ("sweep", "boundary = open\nscale_grid = a:1:0.1\n"),
+    ("allocate", "config_version = 2\n"),
+    ("allocate", "sides = 10,x\n"),
+    ("allocate", "sides = 1e5,1e5\nintensity = 1e9\n"),  # 1e19 expected centers
+    ("allocate", "replicas = 0\n"),
+    ("allocate --workers 0", ""),  # the subcommand may carry CLI overrides
+    ("allocate", "intensity = abc\n"),
+    ("allocate", "scale = inf\n"),
 ])
 def test_bad_values_exit_2_with_one_line(subcommand, extra, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE_CFG + extra)
-    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    argv = [*subcommand.split(), "--config", str(cfg), "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not (tmp_path / "r").exists()

@@ -12,7 +12,6 @@ from allocperc.geometry import (
     distance,
     kd_tree,
     nearest,
-    nearest_until,
     palm_origin,
     replica_rng,
     sample_poisson,
@@ -59,6 +58,8 @@ def test_domain_validation():
     for sides in [(math.nan,), (math.inf,), (1e-200, 1e-200)]:
         with pytest.raises(GeometryError):
             Domain(sides=sides, periodic=False)
+    with pytest.raises(GeometryError, match="intensity must be nonnegative"):
+        sample_poisson(Domain(sides=(1.0,)), -1.0, replica_rng(1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,35 +256,3 @@ def test_within_yields_the_dense_pairs_in_blocks(monkeypatch, case, d, periodic,
     assert case == "empty" or len(want) > len(pts)
     if case == "zero":
         assert any(dense[i, j] == 0.0 and r[i] == 0.0 for i, j in want)
-
-
-@pytest.mark.parametrize("block", [geometry.BLOCK, 16, 1])
-@pytest.mark.parametrize("k0", [1, 2, 8])
-def test_nearest_until_settles_each_row_once(monkeypatch, block, k0):
-    monkeypatch.setattr(geometry, "BLOCK", block)
-    dom = Domain(sides=(6.0, 6.0), periodic=False)
-    rng = replica_rng(41)
-    others = rng.random((70, 2)) * 6.0
-    pts = rng.random((90, 2)) * 6.0
-    want = rng.integers(1, 80, len(pts))  # each row settles once it holds this many
-    real_nearest = geometry.nearest
-    sizes, settled = [], []
-
-    def spy(tree, q, k, oth, domain):
-        sizes.append(len(q) * min(k, len(oth)))
-        return real_nearest(tree, q, k, oth, domain)
-
-    def settle(rows, nbr, dist, bound, k):
-        assert len(rows) == len(nbr) == len(dist) == len(bound)
-        assert np.array_equal(nbr, real_nearest(kd_tree(others, dom), pts[rows], k, others,
-                                                 dom)[0])
-        done = (np.count_nonzero(dist < np.inf, axis=1) >= want[rows]) | (bound == np.inf)
-        settled.extend(rows[done].tolist())
-        return done
-
-    monkeypatch.setattr(geometry, "nearest", spy)
-    nearest_until(kd_tree(others, dom), pts, others, dom, settle, k=k0)
-    assert sorted(settled) == list(range(len(pts)))
-    # no call covers more than max(BLOCK, one row) entries
-    assert max(sizes) <= max(block, len(others))
-    assert len(sizes) > 1

@@ -334,6 +334,8 @@ def test_grid_all_and_none_claimed():
     empty = mask_components(np.zeros(grid.shape, dtype=bool), grid)
     assert empty.n_components == 0
     assert not empty.percolates
+    with pytest.raises(PercolationError, match="mask size"):
+        mask_components(np.ones(grid.n_cells + 1, dtype=bool), grid)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -623,6 +625,8 @@ def test_crossing_event_window_check():
     model = make_model([[2.5, 2.5]], [0.5])
     with pytest.raises(PercolationError):
         crossing_event(model, dom, np.array([2.5, 2.5]), 0.0, 2.0)
+    with pytest.raises(PercolationError, match="upper end must be positive"):
+        crossing_event(model, dom, np.array([2.5, 2.5]), 0.0, 0.0)
 
 
 def small_sweep(replicas=6):
